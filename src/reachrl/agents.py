@@ -19,7 +19,7 @@ import numpy as np
 
 from .envs import make_env, registry_lookup
 from .errors import ValidationError
-from .nets import Mlp, gaussian_sample, mlp_forward, mlp_from_dict, mlp_to_dict
+from .nets import Mlp, mlp_forward, mlp_from_dict, mlp_to_dict
 from .ppo import PpoConfig, PpoTrainer
 from .td3 import Td3Config, Td3Trainer
 
@@ -98,17 +98,30 @@ class PolicyArtifact:
     n_actions: int = 0
 
     def act(self, obs, deterministic: bool = True, rng: np.random.Generator | None = None):
+        return self.act_with_noise(obs, self.draw_noise(deterministic, rng, (self.n_actions,)))
+
+    def draw_noise(
+        self, deterministic: bool, rng: np.random.Generator | None, shape: tuple
+    ) -> np.ndarray | None:
+        """Action noise of ``shape`` (last axis: actions), or None if none is drawn.
+
+        Values are drawn in C order, so one (episodes, steps, n_actions) block
+        holds the stream that act() consumes episode by episode.
+        """
+        if deterministic or self.kind == "tanh":
+            return None
         if self.kind == "random":
-            if deterministic:
-                return np.zeros(self.n_actions)
-            return rng.uniform(-1.0, 1.0, size=self.n_actions)
+            return rng.uniform(-1.0, 1.0, size=shape)
+        return rng.standard_normal(shape)
+
+    def act_with_noise(self, obs, noise: np.ndarray | None):
+        """Action for one observation, or a row per observation of a batch."""
+        if self.kind == "random":
+            return np.zeros(np.shape(obs)[:-1] + (self.n_actions,)) if noise is None else noise
+        out = mlp_forward(self.net, obs)
         if self.kind == "tanh":
-            return np.tanh(mlp_forward(self.net, obs))
-        mean = mlp_forward(self.net, obs)
-        if deterministic:
-            return mean
-        action, _ = gaussian_sample(mean, self.log_std, rng)
-        return action
+            return np.tanh(out)
+        return out if noise is None else out + np.exp(self.log_std) * noise
 
 
 def policy_to_dict(policy: PolicyArtifact) -> dict:

@@ -101,6 +101,12 @@ class ArmModel:
     def tool_point(self) -> np.ndarray:
         return np.array(self.tool)
 
+    @cached_property
+    def cross_weights(self) -> np.ndarray:
+        """Per joint (k1, k2, k0, k2, k0, k1): k x v is the first three times
+        (v2, v0, v1) minus the last three times (v1, v2, v0)."""
+        return np.array([[k[1], k[2], k[0], k[2], k[0], k[1]] for k in self.axes])
+
     def reach_radius(self) -> float:
         """Upper bound on the end-effector distance from the base."""
         total = sum(np.linalg.norm(j.link_offset) for j in self.joints)
@@ -115,20 +121,6 @@ class ArmState:
     ee_position: np.ndarray
 
 
-def _rotate(axis: np.ndarray, angle: float, v: np.ndarray) -> np.ndarray:
-    # Rodrigues' formula: v cosθ + (k × v) sinθ + k (k·v)(1 − cosθ)
-    c = math.cos(angle)
-    s = math.sin(angle)
-    cross = np.array(
-        [
-            axis[1] * v[2] - axis[2] * v[1],
-            axis[2] * v[0] - axis[0] * v[2],
-            axis[0] * v[1] - axis[1] * v[0],
-        ]
-    )
-    return v * c + cross * s + axis * (np.dot(axis, v) * (1.0 - c))
-
-
 def forward_kinematics(model: ArmModel, angles: np.ndarray) -> np.ndarray:
     """End-effector position for the given joint angles.
 
@@ -139,13 +131,44 @@ def forward_kinematics(model: ArmModel, angles: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"expected {model.n_joints} joint angles, got shape {angles.shape}"
         )
-    if np.any(angles < model.lower_limits) or np.any(angles > model.upper_limits):
-        raise ValidationError(f"angles {angles.tolist()} violate joint limits")
-    point = model.tool_point
-    for axis, offset, angle in zip(
-        reversed(model.axes), reversed(model.link_offsets), reversed(angles)
-    ):
-        point = offset + _rotate(axis, float(angle), point)
+    return forward_kinematics_batch(model, angles[None])[0]
+
+
+# Column order of one row of ``point[:, _ROTATE_COLUMNS]``: the point, then the
+# two permutations whose weighted difference is the cross product k x point.
+_ROTATE_COLUMNS = np.array([0, 1, 2, 2, 0, 1, 1, 2, 0])
+
+
+def forward_kinematics_batch(model: ArmModel, angles: np.ndarray) -> np.ndarray:
+    """End-effector positions, shape (B, 3), for a (B, n_joints) batch of angles.
+
+    Applies Rodrigues' formula, v cos + (k x v) sin + k (k . v)(1 - cos), joint
+    by joint to all rows at once.  Rows do not depend on each other or on B.
+    Raises ValidationError on a shape mismatch or any out-of-limit angle.
+    """
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 2 or angles.shape[1] != model.n_joints:
+        raise ValidationError(
+            f"expected a (B, {model.n_joints}) batch of joint angles, got shape {angles.shape}"
+        )
+    bad = (angles < model.lower_limits) | (angles > model.upper_limits)
+    if bad.any():
+        rows = np.flatnonzero(bad.any(axis=1)).tolist()
+        raise ValidationError(f"angle rows {rows} violate joint limits")
+    cos = np.cos(angles)
+    sin = np.sin(angles)
+    one_minus_cos = 1.0 - cos
+    # weights[:, i] times the columns above gives v cos, then the two cross terms
+    weights = np.empty(angles.shape + (9,))
+    weights[:, :, :3] = cos[:, :, None]
+    weights[:, :, 3:] = model.cross_weights
+    point = model.tool_point[None]
+    for i in reversed(range(model.n_joints)):
+        axis = model.axes[i]
+        terms = point.take(_ROTATE_COLUMNS, axis=1) * weights[:, i]
+        rotated = terms[:, :3] + (terms[:, 3:6] - terms[:, 6:]) * sin[:, i : i + 1]
+        along = (point @ axis)[:, None] * one_minus_cos[:, i : i + 1]
+        point = model.link_offsets[i] + (rotated + axis * along)
     return point
 
 
@@ -160,29 +183,42 @@ def home_state(model: ArmModel) -> ArmState:
 
 
 def clamp_to_limits(model: ArmModel, angles: np.ndarray) -> np.ndarray:
-    """Clamp each component into its joint's [lower, upper] interval."""
+    """Clamp each component into its joint's [lower, upper] interval.
+
+    Takes one (n_joints,) vector or a (B, n_joints) batch.
+    """
     angles = np.asarray(angles, dtype=float)
-    if angles.shape != (model.n_joints,):
+    if angles.ndim not in (1, 2) or angles.shape[-1] != model.n_joints:
         raise ValidationError(
             f"expected {model.n_joints} joint angles, got shape {angles.shape}"
         )
     return np.clip(angles, model.lower_limits, model.upper_limits)
 
 
-def apply_joint_command(model: ArmModel, state: ArmState, delta: np.ndarray) -> ArmState:
-    """Step the arm by ``delta`` radians per joint, respecting per-step caps
-    and joint limits.  Returns a new state; the input is unmodified.
+def step_joint_angles(model: ArmModel, angles: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Angles after commanding ``delta``: each component capped at its joint's
+    max_step, the result clamped into the joint limits.
+
+    Takes one (n_joints,) command or a (B, n_joints) batch, shaped like
+    ``angles``.  Raises ValidationError on a shape mismatch or a non-finite
+    command.
     """
     delta = np.asarray(delta, dtype=float)
-    if delta.shape != (model.n_joints,):
+    if delta.shape != np.shape(angles) or delta.shape[-1:] != (model.n_joints,):
         raise ValidationError(
             f"expected {model.n_joints} joint deltas, got shape {delta.shape}"
         )
     if not np.all(np.isfinite(delta)):
         raise ValidationError(f"joint command must be finite, got {delta.tolist()}")
     stepped = np.clip(delta, -model.max_steps, model.max_steps)
-    new_angles = clamp_to_limits(model, state.angles + stepped)
-    return make_state(model, new_angles)
+    return clamp_to_limits(model, angles + stepped)
+
+
+def apply_joint_command(model: ArmModel, state: ArmState, delta: np.ndarray) -> ArmState:
+    """Step the arm by ``delta`` radians per joint, respecting per-step caps
+    and joint limits.  Returns a new state; the input is unmodified.
+    """
+    return make_state(model, step_joint_angles(model, state.angles, delta))
 
 
 def model_to_dict(model: ArmModel) -> dict:

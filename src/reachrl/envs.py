@@ -13,13 +13,21 @@ one instance is single-owner.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .arm import ArmModel, apply_joint_command, home_state, make_state, planar_arm, widowx_arm
+from .arm import (
+    ArmModel,
+    apply_joint_command,
+    forward_kinematics_batch,
+    home_state,
+    planar_arm,
+    step_joint_angles,
+    widowx_arm,
+)
 from .errors import LifecycleError, ValidationError
 
 
@@ -169,11 +177,12 @@ def decode_action(config: EnvConfig, action: np.ndarray, current_angles: np.ndar
 
     RelativeJoint scales each component by the joint's max_step.  AbsoluteJoint
     maps the action onto the joint range and commands the difference from the
-    current angles (the per-step cap is applied later by the arm).
+    current angles (the per-step cap is applied later by the arm).  Also takes
+    a (B, n_joints) batch of actions and angles, one row per episode.
     """
     action = np.asarray(action, dtype=float)
     n = config.n_joints
-    if action.shape != (n,):
+    if action.ndim not in (1, 2) or action.shape[-1] != n:
         raise ValidationError(f"expected action of length {n}, got shape {action.shape}")
     action = np.clip(action, -1.0, 1.0)
     if config.action_mode is ActionMode.RELATIVE_JOINT:
@@ -183,8 +192,14 @@ def decode_action(config: EnvConfig, action: np.ndarray, current_angles: np.ndar
 
 
 def compute_reward(config: EnvConfig, distance: float, prev_distance: float) -> float:
-    """Reward for ending a step at ``distance`` from the goal."""
-    if distance < 0 or prev_distance < 0:
+    """Reward for ending a step at ``distance`` from the goal.
+
+    Floats give a float; equal-shape arrays (one entry per episode) give an
+    array of the same per-entry values.
+    """
+    negative = (distance < 0) | (prev_distance < 0)
+    # np.any costs microseconds on a plain bool, and the scalar env calls this every step.
+    if negative.any() if isinstance(negative, np.ndarray) else negative:
         raise ValidationError(
             f"distances must be non-negative, got {distance}, {prev_distance}"
         )
@@ -195,21 +210,32 @@ def compute_reward(config: EnvConfig, distance: float, prev_distance: float) -> 
         return -distance
     if kind is RewardType.DELTA_DISTANCE:
         return prev_distance - distance
-    # Sparse: 0 inside the tightest success threshold, -1 outside.
-    return 0.0 if distance < config.success_thresholds_mm[0] * 1e-3 else -1.0
+    # Sparse: 0 inside the tightest success threshold, -1 outside (True - 1.0 == 0.0).
+    return (distance < config.success_thresholds_mm[0] * 1e-3) - 1.0
+
+
+def success_flags(config: EnvConfig, distance):
+    """Whether ``distance`` is inside each success threshold.
+
+    A float gives a tuple of bools; a (B,) array (one entry per episode) gives
+    a (B, n_thresholds) bool array.
+    """
+    flags = np.asarray(distance)[..., None] < np.array(config.success_thresholds_mm) * 1e-3
+    return flags if flags.ndim > 1 else tuple(flags.tolist())
 
 
 def compose_observation(config: EnvConfig, angles: np.ndarray, ee: np.ndarray, goal: np.ndarray) -> np.ndarray:
     """Observation vector: affinely scaled joint angles plus goal information.
 
     Angles map from [lower, upper] to [-1, 1]; positions stay in raw meters.
+    Batched inputs (a leading episode axis) give one observation per row.
     """
     scaled = (angles - config.joint_midpoints) / config.joint_half_ranges
     if config.obs_mode is ObsMode.JOINTS_GOAL:
-        return np.concatenate([scaled, goal])
+        return np.concatenate([scaled, goal], axis=-1)
     if config.obs_mode is ObsMode.JOINTS_GOAL_EE:
-        return np.concatenate([scaled, goal, ee])
-    return np.concatenate([scaled, goal - ee])
+        return np.concatenate([scaled, goal, ee], axis=-1)
+    return np.concatenate([scaled, goal - ee], axis=-1)
 
 
 @dataclass
@@ -285,10 +311,7 @@ class EnvInstance:
         self.prev_distance = distance
         self.step_count += 1
         done = self.step_count == self.config.episode_len
-        flags = tuple(
-            bool(distance < t * 1e-3) for t in self.config.success_thresholds_mm
-        )
-        info = {"distance": distance, "success_flags": flags}
+        info = {"distance": distance, "success_flags": success_flags(self.config, distance)}
         return StepResult(self._observe(), reward, done, info)
 
 
@@ -304,9 +327,55 @@ def make_env(env_id_or_config: str | EnvConfig, seed: int | None = None) -> EnvI
     return env
 
 
-def with_reward_type(config: EnvConfig, reward_type: RewardType) -> EnvConfig:
-    """Copy of a config with a different reward function (for custom variants)."""
-    return replace(config, reward_type=reward_type)
+class ReachBatch:
+    """B episodes of one variant stepped in lockstep (single-owner).
+
+    Row k starts as ``EnvInstance.reset(seed=seeds[k])`` would: arm at home,
+    goal drawn from a generator seeded with seeds[k].  ``goal`` pins every
+    row's goal instead, like ``set_goal(goal, unchecked=True)``.  Steps go
+    through the same decode, joint-step and reward functions as
+    EnvInstance.step, applied to every row at once.
+    """
+
+    def __init__(self, config: EnvConfig, seeds, goal: np.ndarray | None = None):
+        self.config = config
+        home = home_state(config.arm)
+        n_rows = len(seeds)
+        self.angles = np.tile(home.angles, (n_rows, 1))
+        self.ee = np.tile(home.ee_position, (n_rows, 1))
+        if goal is None:
+            self.goal = np.array(
+                [np.random.default_rng(s).uniform(config.goal_low, config.goal_high) for s in seeds]
+            )
+        else:
+            self.goal = np.tile(np.asarray(goal, dtype=float), (n_rows, 1))
+        self.prev_distance = self.distances()
+        self.step_count = 0
+
+    def distances(self) -> np.ndarray:
+        return np.linalg.norm(self.ee - self.goal, axis=1)
+
+    def observe(self) -> np.ndarray:
+        return compose_observation(self.config, self.angles, self.ee, self.goal)
+
+    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Apply one (B, n_joints) action batch; return observations, rewards
+        and distances, one row per episode.
+        """
+        config = self.config
+        if self.step_count >= config.episode_len:
+            raise LifecycleError("episodes are finished; build a new batch before stepping")
+        actions = np.asarray(actions, dtype=float)
+        if actions.shape != self.angles.shape:
+            raise ValidationError(f"expected actions of shape {self.angles.shape}, got {actions.shape}")
+        command = decode_action(config, actions, self.angles)
+        self.angles = step_joint_angles(config.arm, self.angles, command)
+        self.ee = forward_kinematics_batch(config.arm, self.angles)
+        distance = self.distances()
+        reward = compute_reward(config, distance, self.prev_distance)
+        self.prev_distance = distance
+        self.step_count += 1
+        return self.observe(), reward, distance
 
 
 def config_to_dict(config: EnvConfig) -> dict:

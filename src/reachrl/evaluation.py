@@ -1,11 +1,22 @@
 """Deterministic policy evaluation, episode metadata logs, benchmark CSV.
 
-Evaluation reruns fresh episodes with an explicitly seeded env (episode k is
-reseeded with seed + k), aggregates metrics across seed runs, and upserts one
+Evaluation reruns fresh episodes with explicitly seeded goals (episode k is
+seeded with seed + k), aggregates metrics across seed runs, and upserts one
 row per experiment into the append-only ``benchmark.csv``.  The episode log
 captures the per-step quantities useful for debugging a new environment:
 joint angles, end-effector and goal positions, action, reward, distance and
 its finite differences.
+
+The episodes of one evaluation run in lockstep on ``envs.ReachBatch``, in
+chunks of at most ``EVAL_CHUNK_EPISODES``: one (chunk, obs_dim) policy forward
+and one batched env step per time step.  Stochastic evaluation draws each
+chunk's action noise up front as one (chunk, episode_len, n_joints) block,
+episode-major, chunk after chunk, which is the order an episode-by-episode
+loop draws it in; that block costs O(chunk x episode_len x n_joints) memory.
+A batched matmul and a row-wise norm sum in another order than their batch-1
+forms, so returns and distances (and the ``benchmark.csv`` and tuner
+``trials.csv`` values built from them) can differ from an episode-by-episode
+run in the last bits.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import EVAL_SEED_OFFSET, PolicyArtifact, policy_from_json
-from .envs import EnvConfig, config_to_json, make_env, registry_lookup
+from .envs import EnvConfig, ReachBatch, config_to_json, make_env, registry_lookup, success_flags
 from .errors import CorruptDataError, LifecycleError, ValidationError
 from .experiment import (
     ExperimentRecord,
@@ -30,6 +41,11 @@ from .experiment import (
     total_train_walltime,
 )
 from .ioutil import atomic_write_text, exclusive_lock
+
+
+# Episodes stepped together; bounds the memory of a stochastic evaluation's
+# noise block (1,024 x 100 steps x 6 joints is 4.9 MB).
+EVAL_CHUNK_EPISODES = 1024
 
 
 @dataclass
@@ -65,31 +81,39 @@ def evaluate_policy(
 ) -> list[EpisodeRecord]:
     """Run n_episodes fresh episodes and record return, final distance, flags.
 
-    Episode k reseeds the env with seed + k.  ``goal_override`` is a test and
-    debugging hook that pins the goal after every reset, bypassing goal_box
+    Episode k draws its goal as an env reset with seed + k does; the episodes
+    run in lockstep (see the module docstring).  ``goal_override`` is a test
+    and debugging hook that pins every episode's goal, bypassing goal_box
     sampling entirely.
     """
     if n_episodes < 1:
         raise ValidationError(f"n_episodes must be >= 1, got {n_episodes}")
     config = registry_lookup(env_id)
     _check_dimensions(policy, config)
-    env = make_env(config, seed=seed)
     act_rng = np.random.default_rng(seed)
     records = []
-    for k in range(n_episodes):
-        obs = env.reset(seed=seed + k)
-        if goal_override is not None:
-            obs = env.set_goal(goal_override, unchecked=True)
-        episode_return = 0.0
-        result = None
-        for _ in range(config.episode_len):
-            result = env.step(policy.act(obs, deterministic, act_rng))
-            episode_return += result.reward
-            obs = result.observation
-        records.append(
-            EpisodeRecord(episode_return, result.info["distance"], result.info["success_flags"])
-        )
+    for first in range(seed, seed + n_episodes, EVAL_CHUNK_EPISODES):
+        seeds = range(first, min(first + EVAL_CHUNK_EPISODES, seed + n_episodes))
+        records += _run_lockstep(policy, config, seeds, deterministic, act_rng, goal_override)
     return records
+
+
+def _run_lockstep(policy, config, seeds, deterministic, act_rng, goal_override) -> list[EpisodeRecord]:
+    """One episode per seed, all stepped together; noise continues ``act_rng``."""
+    batch = ReachBatch(config, seeds, goal_override)
+    noise = policy.draw_noise(deterministic, act_rng, (len(seeds), config.episode_len, config.n_joints))
+    obs = batch.observe()
+    returns = np.zeros(len(seeds))
+    for t in range(config.episode_len):
+        obs, reward, distance = batch.step(
+            policy.act_with_noise(obs, None if noise is None else noise[:, t])
+        )
+        returns += reward
+    flags = success_flags(config, distance)
+    return [
+        EpisodeRecord(r, d, tuple(f))
+        for r, d, f in zip(returns.tolist(), distance.tolist(), flags.tolist())
+    ]
 
 
 @dataclass

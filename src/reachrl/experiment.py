@@ -193,7 +193,8 @@ def run_experiment(
 
     Artifacts are byte-identical regardless of the schedule.  The experiment
     ends Complete iff every seed run finishes; a failed run marks it Failed
-    but the other runs still complete.
+    but the other runs still complete.  An exception from the seed runs also
+    leaves it Failed, then propagates.
     """
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
@@ -204,10 +205,13 @@ def run_experiment(
         )
     record.status = STATUS_RUNNING
     save_record(workspace, record)
-    results = _run_seed_tasks(str(exp_dir(workspace, exp_id)), record.n_seeds, parallelism)
-    ok = all(r["status"] == "complete" for r in results)
-    record.status = STATUS_COMPLETE if ok else STATUS_FAILED
-    save_record(workspace, record)
+    record.status = STATUS_FAILED
+    try:
+        results = _run_seed_tasks(str(exp_dir(workspace, exp_id)), record.n_seeds, parallelism)
+        if all(r["status"] == "complete" for r in results):
+            record.status = STATUS_COMPLETE
+    finally:
+        save_record(workspace, record)
     return record
 
 

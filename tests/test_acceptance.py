@@ -182,6 +182,7 @@ def test_criterion_4_training_determinism(tmp_path):
 
 # ------------------------------------------------------------------ 5
 
+@pytest.mark.slow
 def test_criterion_5_ppo_learning(tmp_path):
     start = time.perf_counter()
     code = cli_main([
@@ -205,6 +206,7 @@ def test_criterion_5_ppo_learning(tmp_path):
 
 # ------------------------------------------------------------------ 6
 
+@pytest.mark.slow
 def test_criterion_6_td3_sanity():
     start = time.perf_counter()
     checkpoints = [25_000, 50_000, 75_000, 100_000]

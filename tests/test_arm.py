@@ -12,11 +12,13 @@ from reachrl.arm import (
     apply_joint_command,
     clamp_to_limits,
     forward_kinematics,
+    forward_kinematics_batch,
     home_state,
     make_state,
     model_from_json,
     model_to_json,
     planar_arm,
+    step_joint_angles,
     widowx_arm,
 )
 from reachrl.errors import ValidationError
@@ -87,6 +89,31 @@ def test_fk_rejects_wrong_length_and_out_of_limits():
         forward_kinematics(model, [4.0, 0.0])
 
 
+@pytest.mark.parametrize("model", [planar_arm(), widowx_arm()], ids=lambda m: m.name)
+def test_batched_fk_rows_equal_scalar_fk_bit_for_bit(model):
+    # A row's result must not depend on the batch around it; with coordinate
+    # axes every axis product and dot product is exact, so this holds bitwise.
+    rng = np.random.default_rng(2)
+    angles = rng.uniform(model.lower_limits, model.upper_limits, size=(500, model.n_joints))
+    angles[:3] = [model.lower_limits, model.upper_limits, np.zeros(model.n_joints)]
+    batch = forward_kinematics_batch(model, angles)
+    expected = np.array([forward_kinematics(model, row) for row in angles])
+    assert batch.shape == (500, 3)
+    assert batch.tobytes() == expected.tobytes()
+
+
+def test_batched_fk_rejects_wrong_shape_and_out_of_limit_rows():
+    model = planar_arm()
+    with pytest.raises(ValidationError):
+        forward_kinematics_batch(model, np.zeros((4, 3)))
+    with pytest.raises(ValidationError):
+        forward_kinematics_batch(model, np.zeros(2))
+    angles = np.zeros((4, 2))
+    angles[2, 1] = 4.0
+    with pytest.raises(ValidationError, match=r"rows \[2\]"):
+        forward_kinematics_batch(model, angles)
+
+
 def test_clamp_identity_in_range():
     model = planar_arm()
     angles = np.array([0.3, -1.2])
@@ -143,6 +170,27 @@ def test_apply_recomputes_ee_consistently():
         np.testing.assert_allclose(
             state.ee_position, forward_kinematics(model, state.angles), atol=1e-12
         )
+
+
+def test_step_joint_angles_batch_rows_match_apply():
+    model = widowx_arm()
+    rng = np.random.default_rng(9)
+    angles = np.array([random_angles(model, rng) for _ in range(20)])
+    delta = rng.uniform(-0.3, 0.3, size=angles.shape)
+    stepped = step_joint_angles(model, angles, delta)
+    for row, d, out in zip(angles, delta, stepped):
+        expected = apply_joint_command(model, make_state(model, row), d).angles
+        assert out.tobytes() == expected.tobytes()
+
+
+def test_step_joint_angles_rejects_non_finite_and_mismatched_batches():
+    model = planar_arm()
+    with pytest.raises(ValidationError):
+        step_joint_angles(model, np.zeros((3, 2)), np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValidationError):
+        step_joint_angles(model, np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValidationError):
+        step_joint_angles(model, np.zeros((3, 6)), np.zeros((3, 6)))
 
 
 @given(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reachrl.envs import (
     ActionMode,
     ObsMode,
+    ReachBatch,
     RewardType,
     compose_observation,
     compute_reward,
@@ -17,6 +18,7 @@ from reachrl.envs import (
     make_env,
     registered_env_ids,
     registry_lookup,
+    success_flags,
 )
 from reachrl.errors import LifecycleError, ValidationError
 
@@ -110,6 +112,8 @@ def test_decode_clamps_out_of_range_components():
 def test_decode_rejects_wrong_length():
     with pytest.raises(ValidationError):
         decode_action(registry_lookup("reach-v1"), np.zeros(3), np.zeros(6))
+    with pytest.raises(ValidationError):
+        decode_action(registry_lookup("reach-v1"), np.zeros((4, 3)), np.zeros((4, 6)))
 
 
 def test_reward_dense_squared():
@@ -122,6 +126,9 @@ def test_reward_sparse_threshold():
     config = registry_lookup("reach-v2")
     assert compute_reward(config, 0.004, 0.0) == 0.0
     assert compute_reward(config, 0.006, 0.0) == -1.0
+    assert type(compute_reward(config, 0.006, 0.0)) is float
+    batched = compute_reward(config, np.array([0.004, 0.006]), np.zeros(2))
+    np.testing.assert_array_equal(batched, [0.0, -1.0])
 
 
 def test_reward_dense_linear_and_delta():
@@ -134,6 +141,8 @@ def test_reward_dense_linear_and_delta():
 def test_reward_rejects_negative_distance():
     with pytest.raises(ValidationError):
         compute_reward(registry_lookup("reach-v1"), -0.1, 0.0)
+    with pytest.raises(ValidationError):
+        compute_reward(registry_lookup("reach-v1"), np.array([0.1, 0.2]), np.array([0.0, -0.1]))
 
 
 @given(d1=st.floats(1e-6, 1.0), d2=st.floats(1e-6, 1.0))
@@ -187,6 +196,27 @@ def test_episode_accepts_exactly_horizon_steps():
     assert result.done
     with pytest.raises(LifecycleError):
         env.step(np.zeros(2))
+
+
+def test_reach_batch_rows_start_like_seeded_resets():
+    config = registry_lookup("reach-v7")
+    batch = ReachBatch(config, [4, 5, 6])
+    for row, seed in enumerate([4, 5, 6]):
+        env = make_env(config)
+        np.testing.assert_array_equal(batch.observe()[row], env.reset(seed=seed))
+        np.testing.assert_array_equal(batch.goal[row], env.goal)
+
+
+def test_reach_batch_keeps_horizon_and_finite_action_checks():
+    batch = ReachBatch(registry_lookup("reach-planar-v1"), [0, 1])
+    with pytest.raises(ValidationError):
+        batch.step(np.array([[0.0, np.nan], [0.0, 0.0]]))
+    with pytest.raises(ValidationError):
+        batch.step(np.zeros((3, 2)))
+    for _ in range(batch.config.episode_len):
+        batch.step(np.zeros((2, 2)))
+    with pytest.raises(LifecycleError):
+        batch.step(np.zeros((2, 2)))
 
 
 def test_delta_distance_rewards_telescope():
@@ -245,6 +275,18 @@ def test_success_flags_monotone():
         flags = env.step(rng.uniform(-1, 1, size=2)).info["success_flags"]
         for tighter, looser in zip(flags, flags[1:]):
             assert looser or not tighter
+
+
+def test_success_flags_scalar_tuple_and_batch_rows():
+    config = registry_lookup("reach-v1")  # thresholds 5, 10, 20, 50 mm
+    flags = success_flags(config, 0.015)
+    assert flags == (False, False, True, True)
+    assert all(type(f) is bool for f in flags)
+    batched = success_flags(config, np.array([0.015, 0.001, 0.2]))
+    assert batched.shape == (3, 4)
+    assert [tuple(row) for row in batched.tolist()] == [
+        flags, success_flags(config, 0.001), success_flags(config, 0.2)
+    ]
 
 
 def test_set_goal_rejects_outside_box():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachrl import evaluation
 from reachrl.agents import PolicyArtifact
 from reachrl.arm import forward_kinematics, widowx_arm
-from reachrl.envs import registry_lookup
+from reachrl.envs import make_env, registered_env_ids, registry_lookup
 from reachrl.errors import CorruptDataError, ValidationError
 from reachrl.evaluation import (
     BENCHMARK_HEADER,
@@ -25,7 +26,7 @@ from reachrl.evaluation import (
     read_benchmark,
 )
 from reachrl.experiment import ExperimentRecord
-from reachrl.nets import Mlp
+from reachrl.nets import Mlp, gaussian_sample, mlp_forward, mlp_init
 
 
 def still_policy(n_obs, n_act):
@@ -66,6 +67,90 @@ def test_evaluate_deterministic_repeatable():
 def test_evaluate_rejects_dimension_mismatch():
     with pytest.raises(ValidationError):
         evaluate_policy(still_policy(5, 2), "reach-v1", n_episodes=1)
+
+
+def reference_act(policy, obs, deterministic, rng):
+    """Batch-1 action, drawing its noise step by step."""
+    if policy.kind == "random":
+        return np.zeros(policy.n_actions) if deterministic else rng.uniform(-1.0, 1.0, size=policy.n_actions)
+    if policy.kind == "tanh":
+        return np.tanh(mlp_forward(policy.net, obs))
+    mean = mlp_forward(policy.net, obs)
+    return mean if deterministic else gaussian_sample(mean, policy.log_std, rng)[0]
+
+
+def reference_evaluate(policy, env_id, n_episodes, deterministic, seed, goal_override=None):
+    """The episode-by-episode loop over EnvInstance that evaluate_policy replaced."""
+    config = registry_lookup(env_id)
+    env = make_env(config, seed=seed)
+    act_rng = np.random.default_rng(seed)
+    records = []
+    for k in range(n_episodes):
+        obs = env.reset(seed=seed + k)
+        if goal_override is not None:
+            obs = env.set_goal(goal_override, unchecked=True)
+        episode_return = 0.0
+        for _ in range(config.episode_len):
+            result = env.step(reference_act(policy, obs, deterministic, act_rng))
+            episode_return += result.reward
+            obs = result.observation
+        records.append(
+            EpisodeRecord(episode_return, result.info["distance"], result.info["success_flags"])
+        )
+    return records
+
+
+def example_policies(config):
+    rng = np.random.default_rng(11)
+    n_act = config.n_joints
+    sizes = [config.obs_dim(), 16, 16, n_act]
+    return [
+        PolicyArtifact("gaussian", net=mlp_init(sizes, rng), log_std=np.full(n_act, -0.5), n_actions=n_act),
+        PolicyArtifact("tanh", net=mlp_init(sizes, rng), n_actions=n_act),
+        PolicyArtifact("random", n_actions=n_act),
+    ]
+
+
+def assert_matches_reference(records, expected):
+    # Batched matmuls and row-wise norms sum in another order: not bitwise.
+    assert len(records) == len(expected)
+    for got, want in zip(records, expected):
+        assert abs(got.episode_return - want.episode_return) <= 1e-12 * abs(want.episode_return)
+        assert abs(got.final_distance_m - want.final_distance_m) <= 1e-12
+        assert got.success_flags == want.success_flags
+
+
+@pytest.mark.parametrize("env_id", registered_env_ids())
+def test_lockstep_evaluation_matches_episode_loop(env_id):
+    for policy in example_policies(registry_lookup(env_id)):
+        for deterministic in (True, False):
+            assert_matches_reference(
+                evaluate_policy(policy, env_id, 6, deterministic, seed=5),
+                reference_evaluate(policy, env_id, 6, deterministic, seed=5),
+            )
+
+
+@pytest.mark.parametrize("env_id", ["reach-v3", "reach-planar-v6"])
+def test_lockstep_evaluation_matches_episode_loop_with_goal_override(env_id):
+    goal = np.array([0.18, 0.05, 0.1 if env_id == "reach-v3" else 0.0])
+    for policy in example_policies(registry_lookup(env_id)):
+        assert_matches_reference(
+            evaluate_policy(policy, env_id, 4, False, seed=2, goal_override=goal),
+            reference_evaluate(policy, env_id, 4, False, seed=2, goal_override=goal),
+        )
+
+
+def test_chunked_evaluation_matches_one_batch(monkeypatch):
+    env_id = "reach-v4"
+    policies = example_policies(registry_lookup(env_id))
+    whole = [evaluate_policy(p, env_id, 10, False, seed=3) for p in policies]
+    monkeypatch.setattr(evaluation, "EVAL_CHUNK_EPISODES", 4)  # chunks of 4, 4, 2
+    for policy, expected in zip(policies, whole):
+        chunked = evaluate_policy(policy, env_id, 10, False, seed=3)
+        # Each chunk continues the noise stream where the last one stopped, so
+        # episodes see the same noise; matmuls over fewer rows may sum differently.
+        assert_matches_reference(chunked, expected)
+        assert_matches_reference(chunked, reference_evaluate(policy, env_id, 10, False, seed=3))
 
 
 def test_aggregate_hand_example():

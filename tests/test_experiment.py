@@ -1,5 +1,6 @@
 import json
 import shutil
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -154,6 +155,15 @@ def test_failed_seed_marks_experiment_failed_but_others_complete(tmp_path, monke
     assert seed_run_statuses(tmp_path, record.exp_id) == {0: "complete", 1: "failed", 2: "complete"}
     assert (seed_dir(tmp_path, record.exp_id, 1) / "training_log.csv").is_file()
     assert not (seed_dir(tmp_path, record.exp_id, 1) / "policy.json").exists()
+
+
+def test_crashed_seed_task_marks_experiment_failed(tmp_path):
+    record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
+    # a file where seed 1's run directory belongs makes its task raise
+    seed_dir(tmp_path, record.exp_id, 1).write_text("blocked")
+    with pytest.raises((OSError, BrokenProcessPool)):
+        run_experiment(tmp_path, record.exp_id)
+    assert load_experiment(tmp_path, record.exp_id).status == STATUS_FAILED
 
 
 def test_rerunning_complete_requires_overwrite(tmp_path):
