@@ -8,13 +8,12 @@ and turn logs into SVG figures -- all deterministic given one seed.
 
 __version__ = "0.1.0"
 
-from .arm import ArmModel, ArmState, JointSpec, forward_kinematics, planar_arm, widowx_arm
+from .arm import ArmModel, JointSpec, forward_kinematics, planar_arm, widowx_arm
 from .envs import EnvConfig, EnvInstance, make_env, registered_env_ids, registry_lookup
 from .agents import PolicyArtifact, TrainingLog, train
 
 __all__ = [
     "ArmModel",
-    "ArmState",
     "JointSpec",
     "forward_kinematics",
     "planar_arm",

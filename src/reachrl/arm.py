@@ -12,8 +12,9 @@ the model's ``tool`` point expressed in the last joint frame:
     ee = o_1 + R_1 (o_2 + R_2 (... o_n + R_n (tool)))
 
 The module is kinematic only: no torques, gravity or contact.  ArmModel is
-immutable and shareable across threads; ArmState is a value (updates return
-new states, inputs are never mutated).
+immutable and shareable across threads.  There is no arm state object: the
+functions map joint angles to angles or positions, take one (n_joints,)
+vector or a (B, n_joints) batch, and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -113,53 +114,36 @@ class ArmModel:
         return float(total + np.linalg.norm(self.tool))
 
 
-@dataclass(frozen=True)
-class ArmState:
-    """Joint angles plus the cached, consistent end-effector position."""
-
-    angles: np.ndarray
-    ee_position: np.ndarray
-
-
-def forward_kinematics(model: ArmModel, angles: np.ndarray) -> np.ndarray:
-    """End-effector position for the given joint angles.
-
-    Raises ValidationError on a length mismatch or out-of-limit angles.
-    """
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != (model.n_joints,):
-        raise ValidationError(
-            f"expected {model.n_joints} joint angles, got shape {angles.shape}"
-        )
-    return forward_kinematics_batch(model, angles[None])[0]
-
-
 # Column order of one row of ``point[:, _ROTATE_COLUMNS]``: the point, then the
 # two permutations whose weighted difference is the cross product k x point.
 _ROTATE_COLUMNS = np.array([0, 1, 2, 2, 0, 1, 1, 2, 0])
 
 
-def forward_kinematics_batch(model: ArmModel, angles: np.ndarray) -> np.ndarray:
-    """End-effector positions, shape (B, 3), for a (B, n_joints) batch of angles.
+def forward_kinematics(model: ArmModel, angles: np.ndarray) -> np.ndarray:
+    """End-effector position: (n_joints,) angles give (3,), a (B, n_joints)
+    batch gives (B, 3).
 
     Applies Rodrigues' formula, v cos + (k x v) sin + k (k . v)(1 - cos), joint
-    by joint to all rows at once.  Rows do not depend on each other or on B.
-    Raises ValidationError on a shape mismatch or any out-of-limit angle.
+    by joint to all rows at once.  Rows do not depend on each other or on B,
+    so a row's bits equal those of its 1-D call.  Raises ValidationError on a
+    shape mismatch or any out-of-limit angle.
     """
     angles = np.asarray(angles, dtype=float)
-    if angles.ndim != 2 or angles.shape[1] != model.n_joints:
+    if angles.ndim not in (1, 2) or angles.shape[-1] != model.n_joints:
         raise ValidationError(
-            f"expected a (B, {model.n_joints}) batch of joint angles, got shape {angles.shape}"
+            f"expected {model.n_joints} joint angles or a (B, {model.n_joints}) batch, "
+            f"got shape {angles.shape}"
         )
-    bad = (angles < model.lower_limits) | (angles > model.upper_limits)
+    batch = angles if angles.ndim == 2 else angles[None]
+    bad = (batch < model.lower_limits) | (batch > model.upper_limits)
     if bad.any():
         rows = np.flatnonzero(bad.any(axis=1)).tolist()
         raise ValidationError(f"angle rows {rows} violate joint limits")
-    cos = np.cos(angles)
-    sin = np.sin(angles)
+    cos = np.cos(batch)
+    sin = np.sin(batch)
     one_minus_cos = 1.0 - cos
     # weights[:, i] times the columns above gives v cos, then the two cross terms
-    weights = np.empty(angles.shape + (9,))
+    weights = np.empty(batch.shape + (9,))
     weights[:, :, :3] = cos[:, :, None]
     weights[:, :, 3:] = model.cross_weights
     point = model.tool_point[None]
@@ -169,17 +153,7 @@ def forward_kinematics_batch(model: ArmModel, angles: np.ndarray) -> np.ndarray:
         rotated = terms[:, :3] + (terms[:, 3:6] - terms[:, 6:]) * sin[:, i : i + 1]
         along = (point @ axis)[:, None] * one_minus_cos[:, i : i + 1]
         point = model.link_offsets[i] + (rotated + axis * along)
-    return point
-
-
-def make_state(model: ArmModel, angles: np.ndarray) -> ArmState:
-    """Build an ArmState whose cached ee position matches its angles."""
-    angles = np.array(angles, dtype=float)
-    return ArmState(angles=angles, ee_position=forward_kinematics(model, angles))
-
-
-def home_state(model: ArmModel) -> ArmState:
-    return make_state(model, np.zeros(model.n_joints))
+    return point if angles.ndim == 2 else point[0]
 
 
 def clamp_to_limits(model: ArmModel, angles: np.ndarray) -> np.ndarray:
@@ -212,13 +186,6 @@ def step_joint_angles(model: ArmModel, angles: np.ndarray, delta: np.ndarray) ->
         raise ValidationError(f"joint command must be finite, got {delta.tolist()}")
     stepped = np.clip(delta, -model.max_steps, model.max_steps)
     return clamp_to_limits(model, angles + stepped)
-
-
-def apply_joint_command(model: ArmModel, state: ArmState, delta: np.ndarray) -> ArmState:
-    """Step the arm by ``delta`` radians per joint, respecting per-step caps
-    and joint limits.  Returns a new state; the input is unmodified.
-    """
-    return make_state(model, step_joint_angles(model, state.angles, delta))
 
 
 def model_to_dict(model: ArmModel) -> dict:

@@ -14,19 +14,16 @@ import os
 import sys
 from pathlib import Path
 
-from .agents import EVAL_SEED_OFFSET, SUPPORTED_ALGOS, policy_from_json
+from .agents import SUPPORTED_ALGOS
 from .envs import registered_env_ids, registry_lookup
 from .errors import LifecycleError, ReachError, ValidationError
 from .experiment import (
     DEFAULT_WORKSPACE,
     STATUS_COMPLETE,
     create_experiment,
-    load_experiment,
     run_experiment,
-    seed_dir,
-    seed_run_statuses,
 )
-from .evaluation import evaluate_experiment, log_episode
+from .evaluation import evaluate_experiment, write_episode_log
 from .hypertune import default_space, run_study
 from .report import DEFAULT_SMOOTHING_WINDOW, emit_benchmark_comparison, emit_episode_panels, emit_training_curves
 
@@ -155,21 +152,8 @@ def cmd_evaluate(args) -> int:
         text = f"{value:.6g}" if isinstance(value, float) else str(value)
         print(f"{name:<24} {text}")
     if args.log_episode:
-        record = load_experiment(workspace, args.exp_id)
-        completed = [
-            k for k, s in seed_run_statuses(workspace, args.exp_id).items() if s == "complete"
-        ]
-        policy = policy_from_json(
-            (seed_dir(workspace, args.exp_id, completed[0]) / "policy.json").read_text(encoding="utf-8")
-        )
-        episode = log_episode(policy, record.env_id, seed=record.base_seed + EVAL_SEED_OFFSET)
-        exp_directory = workspace / f"exp_{args.exp_id}"
-        from .evaluation import episode_log_to_csv
-        from .ioutil import atomic_write_text
-
-        csv_path = exp_directory / "episode_eval.csv"
-        atomic_write_text(csv_path, episode_log_to_csv(episode))
-        svg_path, _ = emit_episode_panels(episode, exp_directory)
+        episode, csv_path = write_episode_log(workspace, args.exp_id)
+        svg_path, _ = emit_episode_panels(episode, csv_path.parent)
         print(f"episode log: {csv_path}")
         print(f"episode panels: {svg_path}")
     return 0

@@ -6,8 +6,15 @@ terminates early, which keeps returns comparable across experiments.
 
 Registered variants ("reach-v1".."reach-v8") use the 6-DOF arm; each has a
 planar twin ("reach-planar-v1".."reach-planar-v8") on the 2-DOF arm for fast
-desk-scale runs.  Distinct EnvInstance objects may run on distinct threads;
-one instance is single-owner.
+desk-scale runs.
+
+EnvInstance is the one env type.  It holds one episode, with 1-D angles, end
+effector and goal, or B episodes stepped in lockstep, with a leading (B,)
+axis on every array; the seed passed to ``reset`` chooses.  One ``step``
+serves both shapes through the same decode, joint-step, reward and
+observation functions, and a batch row carries exactly the bits of the
+1-D episode with the same seed and actions.  Distinct EnvInstance objects may
+run on distinct threads; one instance is single-owner.
 """
 
 from __future__ import annotations
@@ -19,15 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arm import (
-    ArmModel,
-    apply_joint_command,
-    forward_kinematics_batch,
-    home_state,
-    planar_arm,
-    step_joint_angles,
-    widowx_arm,
-)
+from . import arm
+from .arm import ArmModel, planar_arm, step_joint_angles, widowx_arm
 from .errors import LifecycleError, ValidationError
 
 
@@ -205,7 +205,9 @@ def compute_reward(config: EnvConfig, distance: float, prev_distance: float) -> 
         )
     kind = config.reward_type
     if kind is RewardType.DENSE_SQUARED:
-        return -(distance**2)
+        # float ** 2 calls libm's pow, and so does float_power; an array's ** 2
+        # multiplies instead, which differs in the last bit for ~0.1% of inputs.
+        return -np.float_power(distance, 2) if isinstance(distance, np.ndarray) else -(distance**2)
     if kind is RewardType.DENSE_LINEAR:
         return -distance
     if kind is RewardType.DELTA_DISTANCE:
@@ -240,41 +242,60 @@ def compose_observation(config: EnvConfig, angles: np.ndarray, ee: np.ndarray, g
 
 @dataclass
 class StepResult:
+    """One step's outcome; reward and ``info["distance"]`` are floats for one
+    episode and (B,) arrays for B rows."""
+
     observation: np.ndarray
-    reward: float
+    reward: float | np.ndarray
     done: bool
     info: dict
 
 
 @dataclass
 class EnvInstance:
-    """A live, seeded episode of one reach-task variant (single-owner)."""
+    """Live, seeded episodes of one reach-task variant (single-owner)."""
 
     config: EnvConfig
-    rng: np.random.Generator
-    arm_state: object = None
+    rng: np.random.Generator | None = None
+    angles: np.ndarray = None
+    ee: np.ndarray = None
     goal: np.ndarray = None
     step_count: int = 0
-    prev_distance: float = 0.0
+    prev_distance: float | np.ndarray = 0.0
     _needs_reset: bool = field(default=True, repr=False)
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        """Start a fresh episode: arm at home, goal resampled in the box.
+    def reset(self, seed=None) -> np.ndarray:
+        """Start fresh episodes: arm at home, goal resampled in the box.
 
-        Passing a seed reseeds the generator; otherwise its stream continues.
-        Returns the initial observation.
+        An int seed reseeds the generator and None continues its stream (or
+        starts one from fresh entropy); both start one episode.  A sequence
+        of seeds starts one row per seed: row k's goal is drawn as
+        ``reset(seed=seeds[k])`` would draw it, and the generator is left as
+        it was.  Returns the initial observation.
         """
-        if seed is not None:
-            self.rng = np.random.default_rng(seed)
-        self.arm_state = home_state(self.config.arm)
-        self.goal = self.rng.uniform(self.config.goal_low, self.config.goal_high)
+        config = self.config
+        if seed is None or isinstance(seed, (int, np.integer)):
+            if seed is not None or self.rng is None:
+                self.rng = np.random.default_rng(seed)
+            self.goal = self.rng.uniform(config.goal_low, config.goal_high)
+        else:
+            if len(seed) == 0:
+                raise ValidationError("reset needs at least one seed")
+            self.goal = np.array(
+                [np.random.default_rng(s).uniform(config.goal_low, config.goal_high) for s in seed]
+            )
+        self.angles = np.zeros(self.goal.shape[:-1] + (config.n_joints,))
+        # Looked up on the module at call time, so a wrapper installed on
+        # arm.forward_kinematics (perfbench's traced run) sees every call.
+        self.ee = arm.forward_kinematics(config.arm, self.angles)
         self.step_count = 0
         self.prev_distance = self.distance()
         self._needs_reset = False
-        return self._observe()
+        return self.observe()
 
     def set_goal(self, goal: np.ndarray, unchecked: bool = False) -> np.ndarray:
-        """Debugging hook: place the goal explicitly and return the observation.
+        """Debugging hook: place every row's goal explicitly and return the
+        observation.
 
         Goals outside goal_box are rejected unless ``unchecked`` is set (tests
         use that to force degenerate placements, e.g. the goal on the home
@@ -283,104 +304,68 @@ class EnvInstance:
         goal = np.asarray(goal, dtype=float)
         if not unchecked and (np.any(goal < self.config.goal_low) or np.any(goal > self.config.goal_high)):
             raise ValidationError(f"goal {goal.tolist()} outside goal_box")
-        self.goal = goal
+        self.goal = np.broadcast_to(goal, self.ee.shape).copy()
         self.prev_distance = self.distance()
-        return self._observe()
+        return self.observe()
 
-    def distance(self) -> float:
-        return float(np.linalg.norm(self.arm_state.ee_position - self.goal))
+    def distance(self) -> float | np.ndarray:
+        """Goal distance in meters: a float, or one entry per row.
 
-    def _observe(self) -> np.ndarray:
-        return compose_observation(
-            self.config, self.arm_state.angles, self.arm_state.ee_position, self.goal
-        )
+        sqrt(vecdot(d, d)) gives each row the bits of the 1-D call, and those
+        are the bits of np.linalg.norm(d) (no mismatch in 250k random
+        3-vectors); norm(axis=1) sums in another order and differs in about
+        one row in nine.
+        """
+        d = self.ee - self.goal
+        distance = np.sqrt(np.vecdot(d, d))
+        return distance if distance.ndim else float(distance)
+
+    def observe(self) -> np.ndarray:
+        """The current observation, one row per episode of a batch."""
+        return compose_observation(self.config, self.angles, self.ee, self.goal)
 
     def step(self, action: np.ndarray) -> StepResult:
-        """Apply one action and advance the episode by one step.
+        """Apply one action, or one row of actions per episode, and advance
+        by one step.
 
         Actions are clamped to [-1, 1] componentwise before decoding.  The
-        episode runs for exactly ``episode_len`` steps; ``done`` is purely the
+        episodes run for exactly ``episode_len`` steps; ``done`` is purely the
         horizon flag and success never ends an episode early.
         """
-        if self._needs_reset or self.step_count >= self.config.episode_len:
+        config = self.config
+        if self._needs_reset or self.step_count >= config.episode_len:
             raise LifecycleError("episode is finished; call reset() before stepping")
-        command = decode_action(self.config, action, self.arm_state.angles)
-        self.arm_state = apply_joint_command(self.config.arm, self.arm_state, command)
+        action = np.asarray(action, dtype=float)
+        if action.shape != self.angles.shape:
+            raise ValidationError(f"expected action of shape {self.angles.shape}, got {action.shape}")
+        command = decode_action(config, action, self.angles)
+        self.angles = step_joint_angles(config.arm, self.angles, command)
+        self.ee = arm.forward_kinematics(config.arm, self.angles)
         distance = self.distance()
-        reward = compute_reward(self.config, distance, self.prev_distance)
+        reward = compute_reward(config, distance, self.prev_distance)
         self.prev_distance = distance
         self.step_count += 1
-        done = self.step_count == self.config.episode_len
-        info = {"distance": distance, "success_flags": success_flags(self.config, distance)}
-        return StepResult(self._observe(), reward, done, info)
+        done = self.step_count == config.episode_len
+        return StepResult(self.observe(), reward, done, {"distance": distance})
 
 
-def make_env(env_id_or_config: str | EnvConfig, seed: int | None = None) -> EnvInstance:
-    """Create and reset an environment instance."""
+def make_env(env_id_or_config: str | EnvConfig, seed=None) -> EnvInstance:
+    """Create and reset an environment instance.
+
+    ``seed`` is as in ``EnvInstance.reset``: an int or None starts one
+    episode, a sequence of seeds one row per seed.
+    """
     config = (
         registry_lookup(env_id_or_config)
         if isinstance(env_id_or_config, str)
         else env_id_or_config
     )
-    env = EnvInstance(config=config, rng=np.random.default_rng(seed))
-    env.reset()
+    env = EnvInstance(config=config)
+    env.reset(seed=seed)
     return env
 
 
-class ReachBatch:
-    """B episodes of one variant stepped in lockstep (single-owner).
-
-    Row k starts as ``EnvInstance.reset(seed=seeds[k])`` would: arm at home,
-    goal drawn from a generator seeded with seeds[k].  ``goal`` pins every
-    row's goal instead, like ``set_goal(goal, unchecked=True)``.  Steps go
-    through the same decode, joint-step and reward functions as
-    EnvInstance.step, applied to every row at once.
-    """
-
-    def __init__(self, config: EnvConfig, seeds, goal: np.ndarray | None = None):
-        self.config = config
-        home = home_state(config.arm)
-        n_rows = len(seeds)
-        self.angles = np.tile(home.angles, (n_rows, 1))
-        self.ee = np.tile(home.ee_position, (n_rows, 1))
-        if goal is None:
-            self.goal = np.array(
-                [np.random.default_rng(s).uniform(config.goal_low, config.goal_high) for s in seeds]
-            )
-        else:
-            self.goal = np.tile(np.asarray(goal, dtype=float), (n_rows, 1))
-        self.prev_distance = self.distances()
-        self.step_count = 0
-
-    def distances(self) -> np.ndarray:
-        return np.linalg.norm(self.ee - self.goal, axis=1)
-
-    def observe(self) -> np.ndarray:
-        return compose_observation(self.config, self.angles, self.ee, self.goal)
-
-    def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Apply one (B, n_joints) action batch; return observations, rewards
-        and distances, one row per episode.
-        """
-        config = self.config
-        if self.step_count >= config.episode_len:
-            raise LifecycleError("episodes are finished; build a new batch before stepping")
-        actions = np.asarray(actions, dtype=float)
-        if actions.shape != self.angles.shape:
-            raise ValidationError(f"expected actions of shape {self.angles.shape}, got {actions.shape}")
-        command = decode_action(config, actions, self.angles)
-        self.angles = step_joint_angles(config.arm, self.angles, command)
-        self.ee = forward_kinematics_batch(config.arm, self.angles)
-        distance = self.distances()
-        reward = compute_reward(config, distance, self.prev_distance)
-        self.prev_distance = distance
-        self.step_count += 1
-        return self.observe(), reward, distance
-
-
 def config_to_dict(config: EnvConfig) -> dict:
-    from .arm import model_to_dict
-
     return {
         "env_id": config.env_id,
         "action_mode": config.action_mode.value,
@@ -389,13 +374,11 @@ def config_to_dict(config: EnvConfig) -> dict:
         "episode_len": config.episode_len,
         "goal_box": [list(config.goal_box[0]), list(config.goal_box[1])],
         "success_thresholds_mm": list(config.success_thresholds_mm),
-        "arm": model_to_dict(config.arm),
+        "arm": arm.model_to_dict(config.arm),
     }
 
 
 def config_from_dict(doc: dict) -> EnvConfig:
-    from .arm import model_from_dict
-
     return EnvConfig(
         env_id=doc["env_id"],
         action_mode=ActionMode(doc["action_mode"]),
@@ -404,7 +387,7 @@ def config_from_dict(doc: dict) -> EnvConfig:
         episode_len=int(doc["episode_len"]),
         goal_box=(tuple(doc["goal_box"][0]), tuple(doc["goal_box"][1])),
         success_thresholds_mm=tuple(doc["success_thresholds_mm"]),
-        arm=model_from_dict(doc["arm"]),
+        arm=arm.model_from_dict(doc["arm"]),
     )
 
 

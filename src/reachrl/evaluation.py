@@ -7,16 +7,18 @@ captures the per-step quantities useful for debugging a new environment:
 joint angles, end-effector and goal positions, action, reward, distance and
 its finite differences.
 
-The episodes of one evaluation run in lockstep on ``envs.ReachBatch``, in
-chunks of at most ``EVAL_CHUNK_EPISODES``: one (chunk, obs_dim) policy forward
-and one batched env step per time step.  Stochastic evaluation draws each
-chunk's action noise up front as one (chunk, episode_len, n_joints) block,
+The episodes of one evaluation run in lockstep as the rows of one
+``envs.EnvInstance``, in chunks of at most ``EVAL_CHUNK_EPISODES``: one
+(chunk, obs_dim) policy forward and one env step per time step.  The episode
+log is the same loop with one row.  Stochastic evaluation draws each chunk's
+action noise up front as one (chunk, episode_len, n_joints) block,
 episode-major, chunk after chunk, which is the order an episode-by-episode
 loop draws it in; that block costs O(chunk x episode_len x n_joints) memory.
-A batched matmul and a row-wise norm sum in another order than their batch-1
-forms, so returns and distances (and the ``benchmark.csv`` and tuner
-``trials.csv`` values built from them) can differ from an episode-by-episode
-run in the last bits.
+The env computes goal distances as sqrt(vecdot(d, d)), which gives a batch row
+the bits of a 1-D episode, so env rows match single episodes exactly.  A
+batched matmul sums in another order than its batch-1 form, so returns and
+distances (and the ``benchmark.csv`` and tuner ``trials.csv`` values built
+from them) can differ from an episode-by-episode run in the last bits.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from .agents import EVAL_SEED_OFFSET, PolicyArtifact, policy_from_json
-from .envs import EnvConfig, ReachBatch, config_to_json, make_env, registry_lookup, success_flags
+from .envs import EnvConfig, config_to_json, make_env, registry_lookup, success_flags
 from .errors import CorruptDataError, LifecycleError, ValidationError
 from .experiment import (
     ExperimentRecord,
     STATUS_COMPLETE,
+    exp_dir,
     load_experiment,
     seed_dir,
     seed_run_statuses,
@@ -98,17 +101,25 @@ def evaluate_policy(
     return records
 
 
-def _run_lockstep(policy, config, seeds, deterministic, act_rng, goal_override) -> list[EpisodeRecord]:
-    """One episode per seed, all stepped together; noise continues ``act_rng``."""
-    batch = ReachBatch(config, seeds, goal_override)
+def _run_lockstep(policy, config, seeds, deterministic, act_rng, goal_override, on_step=None):
+    """One episode per seed, all stepped together; noise continues ``act_rng``.
+
+    ``on_step(env, action, result)``, if given, sees every step after it runs.
+    """
+    env = make_env(config, seed=seeds)
+    obs = env.observe()
+    if goal_override is not None:
+        obs = env.set_goal(goal_override, unchecked=True)
     noise = policy.draw_noise(deterministic, act_rng, (len(seeds), config.episode_len, config.n_joints))
-    obs = batch.observe()
     returns = np.zeros(len(seeds))
     for t in range(config.episode_len):
-        obs, reward, distance = batch.step(
-            policy.act_with_noise(obs, None if noise is None else noise[:, t])
-        )
-        returns += reward
+        action = policy.act_with_noise(obs, None if noise is None else noise[:, t])
+        result = env.step(action)
+        returns += result.reward
+        obs = result.observation
+        if on_step is not None:
+            on_step(env, action, result)
+    distance = result.info["distance"]
     flags = success_flags(config, distance)
     return [
         EpisodeRecord(r, d, tuple(f))
@@ -184,35 +195,29 @@ class EpisodeLog:
 
 
 def log_episode(policy: PolicyArtifact, env_id: str, seed: int = 0) -> EpisodeLog:
-    """One fully-logged episode (logged actions are as applied, post-clamp)."""
+    """One fully-logged deterministic episode: ``evaluate_policy``'s episode
+    for ``n_episodes=1`` (logged actions are as applied, post-clamp)."""
     config = registry_lookup(env_id)
     _check_dimensions(policy, config)
-    env = make_env(config, seed=seed)
-    act_rng = np.random.default_rng(seed)
-    obs = env.reset(seed=seed)
-    angles, ee, goal, actions, rewards, distances = [], [], [], [], [], []
-    for _ in range(config.episode_len):
-        action = np.clip(policy.act(obs, True, act_rng), -1.0, 1.0)
-        result = env.step(action)
-        angles.append(env.arm_state.angles.copy())
-        ee.append(env.arm_state.ee_position.copy())
-        goal.append(env.goal.copy())
-        actions.append(action)
-        rewards.append(result.reward)
-        distances.append(result.info["distance"])
-        obs = result.observation
-    distances = np.array(distances)
+    steps = []
+
+    def record(env, action, result):
+        steps.append((env.angles[0], env.ee[0], env.goal[0], np.clip(action[0], -1.0, 1.0),
+                      result.reward[0], result.info["distance"][0]))
+
+    _run_lockstep(policy, config, [seed], True, act_rng=None, goal_override=None, on_step=record)
+    angles, ee, goal, actions, rewards, distances = (np.array(column) for column in zip(*steps))
     velocities = np.zeros_like(distances)
     velocities[1:] = np.diff(distances)
     accelerations = np.zeros_like(distances)
     accelerations[2:] = np.diff(velocities)[1:]
     return EpisodeLog(
         env_id=env_id,
-        angles=np.array(angles),
-        ee=np.array(ee),
-        goal=np.array(goal),
-        actions=np.array(actions),
-        rewards=np.array(rewards),
+        angles=angles,
+        ee=ee,
+        goal=goal,
+        actions=actions,
+        rewards=rewards,
         distances=distances,
         velocities=velocities,
         accelerations=accelerations,
@@ -375,24 +380,47 @@ def evaluate_experiment(
             f"experiment {exp_id} has status {record.status}; "
             f"pass allow_partial to evaluate completed seeds anyway"
         )
-    statuses = seed_run_statuses(workspace, exp_id)
-    completed = [k for k, status in statuses.items() if status == "complete"]
-    if not completed:
-        raise ValidationError(f"experiment {exp_id} has no completed seed runs")
-    per_seed = []
-    for k in completed:
-        policy = policy_from_json(
-            (seed_dir(workspace, exp_id, k) / "policy.json").read_text(encoding="utf-8")
+    per_seed = [
+        evaluate_policy(
+            _load_seed_policy(workspace, exp_id, k), record.env_id, n_episodes, deterministic,
+            seed=record.base_seed + k + EVAL_SEED_OFFSET,
         )
-        per_seed.append(
-            evaluate_policy(
-                policy, record.env_id, n_episodes, deterministic,
-                seed=record.base_seed + k + EVAL_SEED_OFFSET,
-            )
-        )
+        for k in _completed_seeds(workspace, exp_id)
+    ]
     metrics = aggregate_across_seeds(per_seed)
     append_benchmark_row(
         workspace, exp_id, metrics, record,
         train_walltime_s=total_train_walltime(workspace, exp_id),
     )
     return metrics, per_seed
+
+
+def _load_seed_policy(workspace: Path, exp_id: int, k: int) -> PolicyArtifact:
+    """The trained policy of seed run k."""
+    path = seed_dir(workspace, exp_id, k) / "policy.json"
+    return policy_from_json(path.read_text(encoding="utf-8"))
+
+
+def _completed_seeds(workspace: Path, exp_id: int) -> list[int]:
+    statuses = seed_run_statuses(workspace, exp_id)
+    completed = [k for k, status in statuses.items() if status == "complete"]
+    if not completed:
+        raise ValidationError(f"experiment {exp_id} has no completed seed runs")
+    return completed
+
+
+def write_episode_log(workspace: Path, exp_id: int) -> tuple[EpisodeLog, Path]:
+    """Log one episode of an experiment to ``exp_<id>/episode_eval.csv``.
+
+    The policy is the first completed seed run's; the goal is that of seed
+    run 0's first evaluation episode (base_seed + 3000).
+    """
+    record = load_experiment(workspace, exp_id)
+    k = _completed_seeds(workspace, exp_id)[0]
+    log = log_episode(
+        _load_seed_policy(workspace, exp_id, k), record.env_id,
+        seed=record.base_seed + EVAL_SEED_OFFSET,
+    )
+    path = exp_dir(workspace, exp_id) / "episode_eval.csv"
+    atomic_write_text(path, episode_log_to_csv(log))
+    return log, path

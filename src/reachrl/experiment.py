@@ -13,7 +13,9 @@ The filesystem is the registry: a workspace directory holds one
       benchmark.csv
 
 New experiment IDs are max(existing) + 1 (1 for an empty workspace), so an
-ID is only ever reused if the experiment with the largest ID is deleted.
+ID is only ever reused if the experiment with the largest ID is deleted.  The
+ID is claimed by creating ``exp_<id>/``; if another command got there first,
+the next free ID is taken instead.
 Seed runs are isolated (threads of control share nothing mutable); the
 orchestrator is the single writer of config.json.
 """
@@ -37,8 +39,8 @@ from .agents import (
     training_log_to_csv,
 )
 from .envs import registry_lookup
-from .errors import CorruptDataError, LifecycleError, NumericError, ValidationError
-from .ioutil import atomic_write_text, single_threaded_blas_env
+from .errors import CorruptDataError, LifecycleError, ValidationError
+from .ioutil import atomic_write_text, claim_numbered_dir, single_threaded_blas_env
 
 DEFAULT_WORKSPACE = "experiments"
 
@@ -134,8 +136,9 @@ def create_experiment(
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
     existing = list_experiment_ids(workspace)
+    exp_id = claim_numbered_dir(workspace, "exp_", (existing[-1] + 1) if existing else 1)
     record = ExperimentRecord(
-        exp_id=(existing[-1] + 1) if existing else 1,
+        exp_id=exp_id,
         algo=algo,
         env_id=env_id,
         n_timesteps=int(n_timesteps),
@@ -150,24 +153,33 @@ def create_experiment(
 
 
 def _run_seed_task(exp_dir_str: str, k: int) -> dict:
-    """Train one seed run; module-level so process pools can pickle it."""
+    """Train one seed run; module-level so process pools can pickle it.
+
+    Any exception from training is recorded: ``training_log.csv`` (the partial
+    log of a NumericError, else empty) and ``run_meta.json`` with status
+    "failed" and the error text.
+    """
     directory = Path(exp_dir_str)
     doc = json.loads((directory / "config.json").read_text(encoding="utf-8"))
     seed = int(doc["base_seed"]) + k
     config = make_algo_config(doc["algo"], int(doc["n_timesteps"]), doc["hyperparams"])
     run_dir = directory / f"seed_{k}"
     start = time.perf_counter()
+    error = None
     try:
         artifact, log = train(doc["algo"], doc["env_id"], seed, config)
         status = "complete"
-    except NumericError as err:
-        artifact, log = None, (err.training_log or TrainingLog())
+    except Exception as err:
+        artifact, log = None, (getattr(err, "training_log", None) or TrainingLog())
         status = "failed"
+        error = f"{type(err).__name__}: {err}"
     wall = time.perf_counter() - start
     atomic_write_text(run_dir / "training_log.csv", training_log_to_csv(log))
     if artifact is not None:
         atomic_write_text(run_dir / "policy.json", policy_to_json(artifact))
     meta = {"seed": seed, "wall_time_s": wall, "status": status}
+    if error is not None:
+        meta["error"] = error
     atomic_write_text(run_dir / "run_meta.json", json.dumps(meta, indent=2) + "\n")
     return {"k": k, "status": status, "wall_time_s": wall}
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .agents import EVAL_SEED_OFFSET, make_algo_config, train
 from .errors import NumericError, ValidationError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, claim_numbered_dir
 
 MIN_TRIALS_BEFORE_PRUNE = 5
 
@@ -285,7 +285,7 @@ def run_study(
     best = max(complete, key=lambda t: t.final_value)
 
     studies_root = Path(workspace) / "studies"
-    study_id = _next_study_id(studies_root)
+    study_id = claim_numbered_dir(studies_root, "study_", _next_study_id(studies_root))
     study_dir = studies_root / f"study_{study_id}"
     atomic_write_text(study_dir / "trials.csv", trials_to_csv(trials, list(space)))
     atomic_write_text(

@@ -1,4 +1,4 @@
-"""Small filesystem helpers: crash-safe writes and advisory locking."""
+"""Small filesystem helpers: crash-safe writes, ID claims, advisory locking."""
 
 from __future__ import annotations
 
@@ -25,6 +25,23 @@ def atomic_write_text(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def claim_numbered_dir(root: Path, prefix: str, first: int) -> int:
+    """Create ``root/<prefix><n>`` for the smallest free n >= first; return n.
+
+    mkdir either creates the directory or fails, so two processes that start
+    from the same n never both claim it.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    n = first
+    while True:
+        try:
+            (root / f"{prefix}{n}").mkdir()
+            return n
+        except FileExistsError:
+            n += 1
 
 
 _BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -9,18 +9,15 @@ from scipy.spatial.transform import Rotation
 from reachrl.arm import (
     ArmModel,
     JointSpec,
-    apply_joint_command,
     clamp_to_limits,
     forward_kinematics,
-    forward_kinematics_batch,
-    home_state,
-    make_state,
     model_from_json,
     model_to_json,
     planar_arm,
     step_joint_angles,
     widowx_arm,
 )
+from reachrl.envs import make_env
 from reachrl.errors import ValidationError
 
 
@@ -96,7 +93,7 @@ def test_batched_fk_rows_equal_scalar_fk_bit_for_bit(model):
     rng = np.random.default_rng(2)
     angles = rng.uniform(model.lower_limits, model.upper_limits, size=(500, model.n_joints))
     angles[:3] = [model.lower_limits, model.upper_limits, np.zeros(model.n_joints)]
-    batch = forward_kinematics_batch(model, angles)
+    batch = forward_kinematics(model, angles)
     expected = np.array([forward_kinematics(model, row) for row in angles])
     assert batch.shape == (500, 3)
     assert batch.tobytes() == expected.tobytes()
@@ -105,13 +102,13 @@ def test_batched_fk_rows_equal_scalar_fk_bit_for_bit(model):
 def test_batched_fk_rejects_wrong_shape_and_out_of_limit_rows():
     model = planar_arm()
     with pytest.raises(ValidationError):
-        forward_kinematics_batch(model, np.zeros((4, 3)))
+        forward_kinematics(model, np.zeros((4, 3)))
     with pytest.raises(ValidationError):
-        forward_kinematics_batch(model, np.zeros(2))
+        forward_kinematics(model, np.zeros((2, 2, 2)))
     angles = np.zeros((4, 2))
     angles[2, 1] = 4.0
     with pytest.raises(ValidationError, match=r"rows \[2\]"):
-        forward_kinematics_batch(model, angles)
+        forward_kinematics(model, angles)
 
 
 def test_clamp_identity_in_range():
@@ -133,43 +130,39 @@ def test_clamp_far_below_lower():
 
 def test_apply_zero_delta_is_identity():
     model = planar_arm()
-    state = make_state(model, [0.2, -0.4])
-    new = apply_joint_command(model, state, np.zeros(2))
-    np.testing.assert_array_equal(new.angles, state.angles)
-    np.testing.assert_array_equal(new.ee_position, state.ee_position)
+    angles = np.array([0.2, -0.4])
+    np.testing.assert_array_equal(step_joint_angles(model, angles, np.zeros(2)), angles)
 
 
 def test_apply_caps_delta_at_max_step():
     model = planar_arm()
-    state = home_state(model)
-    new = apply_joint_command(model, state, np.array([1.0, -1.0]))
-    np.testing.assert_allclose(new.angles, [0.05, -0.05])
+    new = step_joint_angles(model, np.zeros(2), np.array([1.0, -1.0]))
+    np.testing.assert_allclose(new, [0.05, -0.05])
 
 
 def test_apply_rejects_non_finite():
     model = planar_arm()
     with pytest.raises(ValidationError):
-        apply_joint_command(model, home_state(model), np.array([np.nan, 0.0]))
+        step_joint_angles(model, np.zeros(2), np.array([np.nan, 0.0]))
 
 
 def test_apply_does_not_mutate_input():
     model = planar_arm()
-    state = make_state(model, [0.1, 0.1])
-    before = state.angles.copy()
-    apply_joint_command(model, state, np.array([0.03, 0.03]))
-    np.testing.assert_array_equal(state.angles, before)
+    angles = np.array([0.1, 0.1])
+    before = angles.copy()
+    step_joint_angles(model, angles, np.array([0.03, 0.03]))
+    np.testing.assert_array_equal(angles, before)
 
 
 def test_apply_recomputes_ee_consistently():
+    # The env holds angles and end effector side by side; every step must
+    # leave them consistent, bit for bit.
     model = widowx_arm()
     rng = np.random.default_rng(7)
-    state = make_state(model, random_angles(model, rng))
+    env = make_env("reach-v1", seed=7)
     for _ in range(50):
-        delta = rng.uniform(-0.2, 0.2, size=6)
-        state = apply_joint_command(model, state, delta)
-        np.testing.assert_allclose(
-            state.ee_position, forward_kinematics(model, state.angles), atol=1e-12
-        )
+        env.step(rng.uniform(-1.0, 1.0, size=6))
+        assert env.ee.tobytes() == forward_kinematics(model, env.angles).tobytes()
 
 
 def test_step_joint_angles_batch_rows_match_apply():
@@ -179,8 +172,7 @@ def test_step_joint_angles_batch_rows_match_apply():
     delta = rng.uniform(-0.3, 0.3, size=angles.shape)
     stepped = step_joint_angles(model, angles, delta)
     for row, d, out in zip(angles, delta, stepped):
-        expected = apply_joint_command(model, make_state(model, row), d).angles
-        assert out.tobytes() == expected.tobytes()
+        assert out.tobytes() == step_joint_angles(model, row, d).tobytes()
 
 
 def test_step_joint_angles_rejects_non_finite_and_mismatched_batches():
@@ -200,21 +192,21 @@ def test_step_joint_angles_rejects_non_finite_and_mismatched_batches():
 @settings(max_examples=200, deadline=None)
 def test_apply_never_leaves_limits(angles, delta):
     model = planar_arm()
-    state = make_state(model, np.array(angles))
-    new = apply_joint_command(model, state, np.array(delta))
-    assert np.all(new.angles >= model.lower_limits)
-    assert np.all(new.angles <= model.upper_limits)
-    assert np.all(np.abs(new.angles - state.angles) <= model.max_steps + 1e-15)
+    angles = np.array(angles)
+    new = step_joint_angles(model, angles, np.array(delta))
+    assert np.all(new >= model.lower_limits)
+    assert np.all(new <= model.upper_limits)
+    assert np.all(np.abs(new - angles) <= model.max_steps + 1e-15)
 
 
 def test_apply_is_deterministic():
     model = widowx_arm()
-    state = make_state(model, np.full(6, 0.3))
+    angles = np.full(6, 0.3)
     delta = np.array([0.01, -0.02, 0.03, -0.04, 0.05, -0.06])
-    a = apply_joint_command(model, state, delta)
-    b = apply_joint_command(model, state, delta)
-    assert a.angles.tobytes() == b.angles.tobytes()
-    assert a.ee_position.tobytes() == b.ee_position.tobytes()
+    a = step_joint_angles(model, angles, delta)
+    b = step_joint_angles(model, angles, delta)
+    assert a.tobytes() == b.tobytes()
+    assert forward_kinematics(model, a).tobytes() == forward_kinematics(model, b).tobytes()
 
 
 def test_model_json_round_trip():

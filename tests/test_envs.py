@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from reachrl.envs import (
     ActionMode,
     ObsMode,
-    ReachBatch,
     RewardType,
     compose_observation,
     compute_reward,
@@ -78,7 +77,7 @@ def test_reset_distance_matches_norm():
     env = make_env("reach-v3", seed=5)
     env.reset(seed=5)
     assert env.prev_distance == pytest.approx(
-        np.linalg.norm(env.arm_state.ee_position - env.goal), abs=0
+        np.linalg.norm(env.ee - env.goal), abs=0
     )
 
 
@@ -200,15 +199,17 @@ def test_episode_accepts_exactly_horizon_steps():
 
 def test_reach_batch_rows_start_like_seeded_resets():
     config = registry_lookup("reach-v7")
-    batch = ReachBatch(config, [4, 5, 6])
+    batch = make_env(config)
+    observations = batch.reset(seed=[4, 5, 6])
+    assert batch.angles.shape == (3, 6) and batch.ee.shape == (3, 3)
     for row, seed in enumerate([4, 5, 6]):
         env = make_env(config)
-        np.testing.assert_array_equal(batch.observe()[row], env.reset(seed=seed))
+        np.testing.assert_array_equal(observations[row], env.reset(seed=seed))
         np.testing.assert_array_equal(batch.goal[row], env.goal)
 
 
 def test_reach_batch_keeps_horizon_and_finite_action_checks():
-    batch = ReachBatch(registry_lookup("reach-planar-v1"), [0, 1])
+    batch = make_env("reach-planar-v1", seed=[0, 1])
     with pytest.raises(ValidationError):
         batch.step(np.array([[0.0, np.nan], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
@@ -217,6 +218,53 @@ def test_reach_batch_keeps_horizon_and_finite_action_checks():
         batch.step(np.zeros((2, 2)))
     with pytest.raises(LifecycleError):
         batch.step(np.zeros((2, 2)))
+
+
+def test_reach_batch_rejects_one_row_of_actions():
+    # An AbsoluteJoint decode would broadcast a 1-D action over every row.
+    batch = make_env("reach-planar-v5", seed=[0, 1])
+    with pytest.raises(ValidationError):
+        batch.step(np.zeros(2))
+    with pytest.raises(ValidationError):
+        make_env("reach-planar-v5").step(np.zeros((1, 2)))
+
+
+def test_reach_batch_rejects_empty_seed_list():
+    with pytest.raises(ValidationError):
+        make_env("reach-v1").reset(seed=[])
+
+
+@pytest.mark.parametrize("env_id", registered_env_ids())
+def test_batch_rows_equal_single_episodes_bit_for_bit(env_id):
+    seeds = [3, 14, 15, 92]
+    config = registry_lookup(env_id)
+    actions = np.random.default_rng(65).uniform(
+        -1.5, 1.5, size=(config.episode_len, len(seeds), config.n_joints)
+    )
+    batch = make_env(config, seed=seeds)
+    start = (batch.observe(), batch.prev_distance)
+    steps = [batch.step(action) for action in actions]
+    assert steps[-1].done
+    for row, seed in enumerate(seeds):
+        env = make_env(config, seed=seed)
+        assert start[0][row].tobytes() == env.observe().tobytes()
+        assert start[1][row] == env.prev_distance
+        for action, batch_result in zip(actions[:, row], steps):
+            result = env.step(action)
+            assert type(result.reward) is float and type(result.info["distance"]) is float
+            assert batch_result.observation[row].tobytes() == result.observation.tobytes()
+            assert batch_result.reward[row] == result.reward
+            assert batch_result.info["distance"][row] == result.info["distance"]
+
+
+def test_set_goal_pins_every_row():
+    batch = make_env("reach-v3", seed=[1, 2, 3])
+    goal = np.array([0.2, 0.0, 0.1])
+    observations = batch.set_goal(goal)
+    np.testing.assert_array_equal(batch.goal, np.tile(goal, (3, 1)))
+    env = make_env("reach-v3", seed=9)
+    np.testing.assert_array_equal(observations[1], env.set_goal(goal))
+    assert batch.prev_distance[1] == env.prev_distance
 
 
 def test_delta_distance_rewards_telescope():
@@ -272,7 +320,7 @@ def test_success_flags_monotone():
     for _ in range(200):
         if env.step_count >= env.config.episode_len:
             env.reset()
-        flags = env.step(rng.uniform(-1, 1, size=2)).info["success_flags"]
+        flags = success_flags(env.config, env.step(rng.uniform(-1, 1, size=2)).info["distance"])
         for tighter, looser in zip(flags, flags[1:]):
             assert looser or not tighter
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reachrl import evaluation
 from reachrl.agents import PolicyArtifact
 from reachrl.arm import forward_kinematics, widowx_arm
-from reachrl.envs import make_env, registered_env_ids, registry_lookup
+from reachrl.envs import make_env, registered_env_ids, registry_lookup, success_flags
 from reachrl.errors import CorruptDataError, ValidationError
 from reachrl.evaluation import (
     BENCHMARK_HEADER,
@@ -95,7 +95,9 @@ def reference_evaluate(policy, env_id, n_episodes, deterministic, seed, goal_ove
             episode_return += result.reward
             obs = result.observation
         records.append(
-            EpisodeRecord(episode_return, result.info["distance"], result.info["success_flags"])
+            EpisodeRecord(
+                episode_return, result.info["distance"], success_flags(config, result.info["distance"])
+            )
         )
     return records
 
@@ -112,7 +114,7 @@ def example_policies(config):
 
 
 def assert_matches_reference(records, expected):
-    # Batched matmuls and row-wise norms sum in another order: not bitwise.
+    # Batched matmuls sum in another order: not bitwise.
     assert len(records) == len(expected)
     for got, want in zip(records, expected):
         assert abs(got.episode_return - want.episode_return) <= 1e-12 * abs(want.episode_return)
@@ -231,6 +233,18 @@ def test_log_episode_stay_still_zero_velocity():
     assert len(log) == registry_lookup("reach-v1").episode_len
     np.testing.assert_array_equal(log.velocities, np.zeros(len(log)))
     np.testing.assert_array_equal(log.accelerations, np.zeros(len(log)))
+
+
+@pytest.mark.parametrize("env_id", registered_env_ids())
+def test_log_episode_is_evaluate_policy_episode(env_id):
+    for policy in example_policies(registry_lookup(env_id))[:2]:  # gaussian, tanh
+        log = log_episode(policy, env_id, seed=21)
+        [record] = evaluate_policy(policy, env_id, n_episodes=1, deterministic=True, seed=21)
+        total = 0.0
+        for reward in log.rewards.tolist():
+            total += reward
+        assert total == record.episode_return
+        assert log.distances[-1] == record.final_distance_m
 
 
 def test_log_episode_internal_consistency():

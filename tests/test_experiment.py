@@ -166,6 +166,32 @@ def test_crashed_seed_task_marks_experiment_failed(tmp_path):
     assert load_experiment(tmp_path, record.exp_id).status == STATUS_FAILED
 
 
+def test_seed_task_records_any_training_exception(tmp_path, monkeypatch):
+    def crashing_train(algo, env_id, seed, config=None, **kwargs):
+        raise RuntimeError("worker crashed")
+
+    monkeypatch.setattr(experiment, "train", crashing_train)
+    record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 1)
+    result = experiment._run_seed_task(str(exp_dir(tmp_path, record.exp_id)), 0)
+    assert result["status"] == "failed"
+    assert seed_run_statuses(tmp_path, record.exp_id) == {0: "failed"}
+    run = seed_dir(tmp_path, record.exp_id, 0)
+    meta = json.loads((run / "run_meta.json").read_text())
+    assert meta["error"] == "RuntimeError: worker crashed"
+    assert (run / "training_log.csv").read_text() == "timestep,episode,episode_return,episode_final_distance_m\n"
+    assert not (run / "policy.json").exists()
+
+
+def test_experiment_id_taken_after_listing_moves_to_next(tmp_path, monkeypatch):
+    # As if another command claimed exp_1 between the listing and the write.
+    monkeypatch.setattr(experiment, "list_experiment_ids", lambda workspace: [])
+    first = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 1)
+    second = create_experiment(tmp_path, "ppo", "reach-v1", 200, 2)
+    assert (first.exp_id, second.exp_id) == (1, 2)
+    assert load_experiment(tmp_path, 1).algo == "random"
+    assert load_experiment(tmp_path, 2).algo == "ppo"
+
+
 def test_rerunning_complete_requires_overwrite(tmp_path):
     record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 1)
     run_experiment(tmp_path, record.exp_id)

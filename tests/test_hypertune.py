@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reachrl.hypertune as hypertune
 from reachrl.errors import NumericError, ValidationError
 from reachrl.hypertune import (
     Categorical,
@@ -19,6 +20,7 @@ from reachrl.hypertune import (
     run_study,
     sample_config,
     should_prune,
+    trials_to_csv,
 )
 
 
@@ -195,6 +197,17 @@ def test_study_ids_increment(tmp_path):
     first = run_study(tmp_path, "ppo", "reach-planar-v1", space, 1, 100, 1, 0, lr_stub_runner)
     second = run_study(tmp_path, "ppo", "reach-planar-v1", space, 1, 100, 1, 0, lr_stub_runner)
     assert (first.study_id, second.study_id) == (1, 2)
+
+
+def test_study_id_taken_after_listing_moves_to_next(tmp_path, monkeypatch):
+    # As if another study claimed study_1 between the listing and the write.
+    monkeypatch.setattr(hypertune, "_next_study_id", lambda studies_root: 1)
+    space = {"lr": Uniform(0.1, 1.0)}
+    first = run_study(tmp_path, "ppo", "reach-planar-v1", space, 1, 100, 1, 0, lr_stub_runner)
+    second = run_study(tmp_path, "ppo", "reach-planar-v1", space, 1, 100, 1, 7, lr_stub_runner)
+    assert (first.study_id, second.study_id) == (1, 2)
+    assert first.study_dir != second.study_dir
+    assert (first.study_dir / "trials.csv").read_text() == trials_to_csv(first.trials, ["lr"])
 
 
 def test_sequential_study_deterministic(tmp_path):
