@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the training artifacts of three fixed runs.
+"""Print the SHA-256 of the training artifacts of three fixed runs, and the
+evaluation outputs of the PPO one.
 
 Trains, in a temporary workspace, PPO on reach-planar-v1 (4,096 steps,
 2 seeds, base seed 7), TD3 on reach-planar-v3 (1,500 steps,
@@ -9,11 +10,18 @@ steps, 2 seeds, base seed 7), then prints the hash of every seed's
 children with single-threaded BLAS, as ``reachrl train`` runs them, so two
 checkouts whose training numerics agree print the same lines.
 
+It then evaluates the PPO experiment with ``--log-episode``, once
+deterministically and once with ``--stochastic``, and prints its
+``benchmark.csv`` row after each (without ``train_walltime_s``, which is a
+wall time) and the hashes of ``episode_eval.csv`` and ``episode_panels.svg``.
+
     PYTHONPATH=src python scripts/artifact_hashes.py
 """
 
 import contextlib
+import csv
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -28,20 +36,36 @@ RUNS = (
     ("random", ["--algo", "random", "--env", "reach-v2", "--n-timesteps", "2000",
                 "--n-seeds", "2", "--base-seed", "7"]),
 )
+EVALUATIONS = (("deterministic", []), ("stochastic", ["--stochastic"]))
+
+
+def run_cli(name: str, args: list[str]) -> None:
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli(args)
+    if code != 0:
+        raise SystemExit(f"{name}: {args[0]} exited with code {code}")
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as workspace:
         for exp_id, (name, args) in enumerate(RUNS, start=1):
-            with contextlib.redirect_stdout(sys.stderr):
-                code = cli(["train", *args, "--workspace", workspace])
-            if code != 0:
-                print(f"{name}: train exited with code {code}", file=sys.stderr)
-                return code
+            run_cli(name, ["train", *args, "--workspace", workspace])
             for seed_path in sorted((Path(workspace) / f"exp_{exp_id}").glob("seed_*")):
                 for artifact in ("training_log.csv", "policy.json"):
-                    digest = hashlib.sha256((seed_path / artifact).read_bytes()).hexdigest()
-                    print(f"{name} {seed_path.name} {artifact} {digest}")
+                    print(f"{name} {seed_path.name} {artifact} {sha256(seed_path / artifact)}")
+        for mode, flags in EVALUATIONS:
+            run_cli("ppo", ["evaluate", "--exp-id", "1", "--log-episode", *flags,
+                            "--workspace", workspace])
+            row = next(csv.DictReader(io.StringIO(
+                (Path(workspace) / "benchmark.csv").read_text(encoding="utf-8"))))
+            del row["train_walltime_s"]
+            print(f"ppo evaluate {mode} benchmark.csv {','.join(row.values())}")
+            for artifact in ("episode_eval.csv", "episode_panels.svg"):
+                print(f"ppo evaluate {mode} {artifact} {sha256(Path(workspace) / 'exp_1' / artifact)}")
     return 0
 
 

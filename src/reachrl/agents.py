@@ -5,7 +5,9 @@ from it with fixed offsets: env seed = s, network init seed = s + 1000,
 action/exploration noise seed = s + 2000 (evaluation envs use s + 3000).
 
 A trainer owns its env, nets and rngs exclusively, so runs with different
-seeds can execute concurrently with zero shared mutable state.
+seeds can execute concurrently with zero shared mutable state.  Every
+trainer steps through ``envs.run_episodes`` with ``TrainingLog.add`` as its
+episode callback, and calls ``on_step(s)`` once it has used step s.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .envs import make_env, registry_lookup
-from .errors import ValidationError
+from .envs import make_env, registry_lookup, run_episodes
+from .errors import NumericError, ValidationError
 from .nets import Mlp, mlp_forward, mlp_from_dict, mlp_to_dict
 from .ppo import PpoConfig, PpoTrainer
 from .td3 import Td3Config, Td3Trainer
@@ -181,23 +183,13 @@ def make_algo_config(algo: str, n_timesteps: int, hyperparams: dict | None = Non
     return cls(n_timesteps=n_timesteps, **coerced)
 
 
-def _train_random(env, config: RandomConfig, seed: int, log, on_step=None):
+def _train_random(env, config: RandomConfig, seed: int, log, on_step):
     rng = np.random.default_rng(seed + NOISE_SEED_OFFSET)
     act_dim = env.config.n_joints
-    env.reset(seed=seed)
-    episode_return = 0.0
-    episode = 0
-    for step in range(1, config.n_timesteps + 1):
-        result = env.step(rng.uniform(-1.0, 1.0, size=act_dim))
-        episode_return += result.reward
-        if result.done:
-            episode += 1
-            log.add(step, episode, episode_return, result.info["distance"])
-            episode_return = 0.0
-            env.reset()
-        if on_step is not None and not on_step(step):
+    act = lambda obs: rng.uniform(-1.0, 1.0, size=act_dim)
+    for step, *_ in run_episodes(env, act, log.add, config.n_timesteps):
+        if not on_step(step):
             break
-    return PolicyArtifact(kind="random", n_actions=act_dim)
 
 
 def train(
@@ -210,10 +202,12 @@ def train(
 ) -> tuple[PolicyArtifact, TrainingLog]:
     """Run one fully deterministic training run and return its artifacts.
 
-    ``checkpoint_fn(step, policy)`` fires when training crosses each step in
-    ``checkpoint_steps``; returning False stops the run early (used by the
-    hyperparameter study pruner).  Raises NumericError with the partial log
-    attached if training diverges.
+    ``checkpoint_fn(step, policy)`` fires for each step in
+    ``checkpoint_steps`` once training has used that step, so it scores the
+    policy that training would return if it stopped there (for PPO, after
+    the update at a rollout's end); returning False stops the run early
+    (used by the hyperparameter study pruner).  Raises NumericError with the
+    partial log attached if training diverges.
     """
     algo = algo.lower()
     if algo not in SUPPORTED_ALGOS:
@@ -225,29 +219,25 @@ def train(
         config = make_algo_config(algo, n_timesteps=100_000)
     log = TrainingLog()
     env = make_env(env_id, seed=seed)
-
-    on_step = None
-    if checkpoint_fn is not None and checkpoint_steps:
-        pending = sorted(checkpoint_steps)
-
-        def on_step(step, _pending=pending):
-            while _pending and step >= _pending[0]:
-                target = _pending.pop(0)
-                if not checkpoint_fn(target, current_artifact()):
-                    return False
-            return True
-
     if algo == "random":
-        current_artifact = lambda: PolicyArtifact(kind="random", n_actions=env.config.n_joints)
-        artifact = _train_random(env, config, seed, log, on_step)
-    elif algo == "ppo":
-        trainer = PpoTrainer(env, config, seed)
-        current_artifact = trainer.artifact
-        trainer.train(log, on_step)
-        artifact = trainer.artifact()
+        artifact = lambda: PolicyArtifact(kind="random", n_actions=env.config.n_joints)
     else:
-        trainer = Td3Trainer(env, config, seed)
-        current_artifact = trainer.artifact
-        trainer.train(log, on_step)
-        artifact = trainer.artifact()
-    return artifact, log
+        trainer = (PpoTrainer if algo == "ppo" else Td3Trainer)(env, config, seed)
+        artifact = trainer.artifact
+    pending = sorted(checkpoint_steps) if checkpoint_fn is not None else []
+
+    def on_step(step):
+        while pending and step >= pending[0]:
+            if not checkpoint_fn(pending.pop(0), artifact()):
+                return False
+        return True
+
+    try:
+        if algo == "random":
+            _train_random(env, config, seed, log, on_step)
+        else:
+            trainer.train(log, on_step)
+    except NumericError as err:
+        err.training_log = log
+        raise
+    return artifact(), log

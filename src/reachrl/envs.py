@@ -15,6 +15,9 @@ serves both shapes through the same decode, joint-step, reward and
 observation functions, and a batch row carries exactly the bits of the
 1-D episode with the same seed and actions.  Distinct EnvInstance objects may
 run on distinct threads; one instance is single-owner.
+
+``run_episodes`` is the one episode driver: the trainers and evaluation all
+step through it, so reset, step, return sums and episode logs live in one place.
 """
 
 from __future__ import annotations
@@ -347,6 +350,31 @@ class EnvInstance:
         self.step_count += 1
         done = self.step_count == config.episode_len
         return StepResult(self.observe(), reward, done, {"distance": distance})
+
+
+def run_episodes(env: EnvInstance, act, on_episode, n_steps: int):
+    """Take ``n_steps`` steps from ``env.observe()`` with ``action = act(obs)``
+    and yield ``(step, obs, action, result)`` after each, counting from 1.
+
+    At each horizon ``on_episode(step, episode, return, final_distance)`` runs
+    before that step's yield; the return is a float for one episode and a
+    (B,) array for B rows.  The env resets only when iteration resumes, so a
+    consumer that stops at a horizon draws no further goal.  A batch env runs
+    one horizon (``reset()`` starts a single episode).
+    """
+    obs = env.observe()
+    episode_return = 0.0
+    episode = 0
+    for step in range(1, n_steps + 1):
+        action = act(obs)
+        result = env.step(action)
+        episode_return += result.reward
+        if result.done:
+            episode += 1
+            on_episode(step, episode, episode_return, result.info["distance"])
+            episode_return = 0.0
+        yield step, obs, action, result
+        obs = env.reset() if result.done and step < n_steps else result.observation
 
 
 def make_env(env_id_or_config: str | EnvConfig, seed=None) -> EnvInstance:

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import EVAL_SEED_OFFSET, PolicyArtifact, policy_from_json
-from .envs import EnvConfig, config_to_json, make_env, registry_lookup, success_flags
+from .envs import EnvConfig, config_to_json, make_env, registry_lookup, run_episodes, success_flags
 from .errors import CorruptDataError, LifecycleError, ValidationError
 from .experiment import (
     ExperimentRecord,
@@ -107,24 +107,25 @@ def _run_lockstep(policy, config, seeds, deterministic, act_rng, goal_override, 
     ``on_step(env, action, result)``, if given, sees every step after it runs.
     """
     env = make_env(config, seed=seeds)
-    obs = env.observe()
     if goal_override is not None:
-        obs = env.set_goal(goal_override, unchecked=True)
+        env.set_goal(goal_override, unchecked=True)
     noise = policy.draw_noise(deterministic, act_rng, (len(seeds), config.episode_len, config.n_joints))
-    returns = np.zeros(len(seeds))
-    for t in range(config.episode_len):
-        action = policy.act_with_noise(obs, None if noise is None else noise[:, t])
-        result = env.step(action)
-        returns += result.reward
-        obs = result.observation
+    records = []
+
+    def act(obs):
+        return policy.act_with_noise(obs, None if noise is None else noise[:, env.step_count])
+
+    def on_episode(step, episode, returns, distance):
+        flags = success_flags(config, distance)
+        records.extend(
+            EpisodeRecord(r, d, tuple(f))
+            for r, d, f in zip(returns.tolist(), distance.tolist(), flags.tolist())
+        )
+
+    for _, _, action, result in run_episodes(env, act, on_episode, config.episode_len):
         if on_step is not None:
             on_step(env, action, result)
-    distance = result.info["distance"]
-    flags = success_flags(config, distance)
-    return [
-        EpisodeRecord(r, d, tuple(f))
-        for r, d, f in zip(returns.tolist(), distance.tolist(), flags.tolist())
-    ]
+    return records
 
 
 @dataclass

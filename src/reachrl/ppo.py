@@ -3,15 +3,18 @@
 On-policy trainer over the reach-env interface.  The Gaussian policy uses a
 state-independent learnable log standard deviation; policy net, log_std and
 value net share a single Adam optimizer, and the global gradient norm is
-clipped before every step.
+clipped before every step.  Rollouts are consecutive slices of one
+``envs.run_episodes`` stream per ``train`` call; an episode may span two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from .envs import run_episodes
 from .errors import NumericError, ValidationError
 from .nets import (
     GaussianHead,
@@ -223,10 +226,6 @@ class PpoTrainer:
         self.sampler = np.random.default_rng(seed + NOISE_SEED_OFFSET)
         params = self.policy.params() + [self.head.log_std] + self.value_net.params()
         self.adam = adam_init(params, config.lr)
-        self.obs = env.reset(seed=seed)
-        self.global_step = 0
-        self._episode_return = 0.0
-        self._episode_index = 0
 
     def artifact(self):
         from .agents import PolicyArtifact
@@ -236,46 +235,36 @@ class PpoTrainer:
             n_actions=self.env.config.n_joints,
         )
 
-    def collect_rollout(self, log, max_steps: int, on_step=None) -> RolloutBatch | None:
-        """Gather up to max_steps on-policy transitions; None if stopped early.
+    def act(self, obs):
+        """Sample an action; its log probability waits for collect_rollout."""
+        mean = mlp_forward(self.policy, obs)
+        action, self._log_prob = gaussian_sample(mean, self.head.log_std, self.sampler)
+        return action
 
-        Episode ends are time limits, not true terminals, so the final reward
-        of each episode is augmented with gamma * V(final observation); the
-        done flag still cuts the GAE recursion at the reset boundary.
-        Without this bootstrap the value function treats the horizon as death
-        and learning on the reach task is unreliable.
+    def collect_rollout(self, steps, n_steps: int, on_step=None) -> RolloutBatch | None:
+        """Take the next n_steps transitions from ``steps``, a ``run_episodes``
+        stream driven by ``self.act``; None if ``on_step`` stopped it.
+
+        ``on_step`` sees every step but the last, which ``train`` reports after
+        the update.  Episode ends are time limits, not true terminals, so the
+        final reward of each episode is augmented with gamma * V(final
+        observation); the done flag still cuts the GAE recursion at the reset
+        boundary.  Without this bootstrap the value function treats the
+        horizon as death and learning on the reach task is unreliable.
         """
         obs_buf, act_buf, logp_buf, rew_buf, done_buf, val_buf = [], [], [], [], [], []
-        for _ in range(max_steps):
-            mean = mlp_forward(self.policy, self.obs)
-            action, log_prob = gaussian_sample(mean, self.head.log_std, self.sampler)
-            value = float(mlp_forward(self.value_net, self.obs)[0])
-            result = self.env.step(action)
-            self.global_step += 1
+        for i, (step, obs, action, result) in enumerate(islice(steps, n_steps), start=1):
+            obs_buf.append(obs)
+            act_buf.append(action)
+            logp_buf.append(self._log_prob)
+            val_buf.append(float(mlp_forward(self.value_net, obs)[0]))
             reward = result.reward
             if result.done:
-                final_value = float(mlp_forward(self.value_net, result.observation)[0])
-                reward += self.config.gamma * final_value
-            obs_buf.append(self.obs)
-            act_buf.append(action)
-            logp_buf.append(log_prob)
+                reward += self.config.gamma * float(mlp_forward(self.value_net, result.observation)[0])
             rew_buf.append(reward)
             done_buf.append(result.done)
-            val_buf.append(value)
-            self._episode_return += result.reward
-            if result.done:
-                self._episode_index += 1
-                log.add(
-                    self.global_step, self._episode_index,
-                    self._episode_return, result.info["distance"],
-                )
-                self._episode_return = 0.0
-                self.obs = self.env.reset()
-            else:
-                self.obs = result.observation
-            if on_step is not None and not on_step(self.global_step):
+            if i < n_steps and on_step is not None and not on_step(step):
                 return None
-        next_value = float(mlp_forward(self.value_net, self.obs)[0])
         return RolloutBatch(
             observations=np.array(obs_buf),
             actions=np.array(act_buf),
@@ -283,20 +272,25 @@ class PpoTrainer:
             rewards=np.array(rew_buf),
             dones=np.array(done_buf, dtype=float),
             values=np.array(val_buf),
-            next_value=next_value,
+            # Masked by the done flag when the rollout ends on a horizon.
+            next_value=float(mlp_forward(self.value_net, result.observation)[0]),
         )
 
-    def train(self, log, on_step=None):
+    def train(self, log, on_step):
+        """Roll out and update until n_timesteps; ``on_step(step)`` runs once
+        step is used, so at a rollout's end after its update, and returning
+        False stops training.
+
+        The step stream is local to this call: a stream stored on the trainer
+        would hold ``self.act`` and so the trainer itself, a reference cycle.
+        """
         cfg = self.config
-        while self.global_step < cfg.n_timesteps:
-            remaining = cfg.n_timesteps - self.global_step
-            batch = self.collect_rollout(log, min(cfg.rollout_len, remaining), on_step)
+        steps = run_episodes(self.env, self.act, log.add, cfg.n_timesteps)
+        for start in range(0, cfg.n_timesteps, cfg.rollout_len):
+            n_steps = min(cfg.rollout_len, cfg.n_timesteps - start)
+            batch = self.collect_rollout(steps, n_steps, on_step)
             if batch is None:
                 return
-            try:
-                ppo_update(
-                    self.policy, self.head, self.value_net, batch, cfg,
-                    self.adam, self.sampler,
-                )
-            except NumericError as err:
-                raise NumericError(str(err), training_log=log) from None
+            ppo_update(self.policy, self.head, self.value_net, batch, cfg, self.adam, self.sampler)
+            if not on_step(start + n_steps):
+                return

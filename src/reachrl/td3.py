@@ -2,7 +2,10 @@
 
 Off-policy trainer over the reach-env interface.  The actor squashes its MLP
 output through tanh so actions live in [-1, 1]; critics take the
-concatenated (observation, action) vector.
+concatenated (observation, action) vector.  The trainer steps through
+``envs.run_episodes`` and updates before ``on_step`` sees the step.  Episodes
+end only by time limit, so every target bootstraps, r + gamma * min(Q1', Q2'),
+and the buffer keeps no done flag (Pardo et al., ICML 2018).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envs import run_episodes
 from .errors import NumericError, ValidationError
 from .nets import (
     Mlp,
@@ -61,17 +65,15 @@ class ReplayBuffer:
         self.actions = np.zeros((capacity, act_dim))
         self.rewards = np.zeros(capacity)
         self.next_observations = np.zeros((capacity, obs_dim))
-        self.dones = np.zeros(capacity)
         self.size = 0
         self.cursor = 0
 
-    def push(self, obs, action, reward, next_obs, done):
+    def push(self, obs, action, reward, next_obs):
         i = self.cursor
         self.observations[i] = obs
         self.actions[i] = action
         self.rewards[i] = reward
         self.next_observations[i] = next_obs
-        self.dones[i] = float(done)
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -82,7 +84,6 @@ class ReplayBuffer:
             "actions": self.actions[idx],
             "rewards": self.rewards[idx],
             "next_observations": self.next_observations[idx],
-            "dones": self.dones[idx],
         }
 
 
@@ -157,7 +158,7 @@ def td3_update(
     next_in = np.concatenate([batch["next_observations"], next_action], axis=1)
     q1_t = mlp_forward(nets.critic1_target, next_in)[:, 0]
     q2_t = mlp_forward(nets.critic2_target, next_in)[:, 0]
-    target = batch["rewards"] + config.gamma * (1.0 - batch["dones"]) * np.minimum(q1_t, q2_t)
+    target = batch["rewards"] + config.gamma * np.minimum(q1_t, q2_t)
 
     critic_in = np.concatenate([obs, batch["actions"]], axis=1)
     q1, cache1 = mlp_forward_cached(nets.critic1, critic_in)
@@ -210,11 +211,8 @@ class Td3Trainer:
             self.nets.critic1.params() + self.nets.critic2.params(), config.lr
         )
         self.actor_adam = adam_init(self.nets.actor.params(), config.lr)
-        self.obs = env.reset(seed=seed)
         self.global_step = 0
         self.update_count = 0
-        self._episode_return = 0.0
-        self._episode_index = 0
 
     def artifact(self):
         from .agents import PolicyArtifact
@@ -224,43 +222,27 @@ class Td3Trainer:
             n_actions=self.env.config.n_joints,
         )
 
-    def train(self, log, on_step=None):
+    def act(self, obs):
+        """Uniform actions before learning_starts, then the actor's plus
+        Gaussian exploration noise, clipped to [-1, 1]."""
+        size = self.env.config.n_joints
+        if self.global_step < self.config.learning_starts:
+            return self.noise_rng.uniform(-1.0, 1.0, size=size)
+        noise = self.noise_rng.normal(0.0, self.config.explore_noise, size=size)
+        return np.clip(actor_action(self.nets.actor, obs) + noise, -1.0, 1.0)
+
+    def train(self, log, on_step):
+        """Step, store and update until n_timesteps; ``on_step(step)`` runs
+        after each step's update, and returning False stops training."""
         cfg = self.config
-        act_dim = self.env.config.n_joints
-        while self.global_step < cfg.n_timesteps:
-            if self.global_step < cfg.learning_starts:
-                action = self.noise_rng.uniform(-1.0, 1.0, size=act_dim)
-            else:
-                action = np.clip(
-                    actor_action(self.nets.actor, self.obs)
-                    + self.noise_rng.normal(0.0, cfg.explore_noise, size=act_dim),
-                    -1.0, 1.0,
-                )
-            result = self.env.step(action)
-            self.global_step += 1
-            self.buffer.push(
-                self.obs, action, result.reward, result.observation, result.done
-            )
-            self._episode_return += result.reward
-            if result.done:
-                self._episode_index += 1
-                log.add(
-                    self.global_step, self._episode_index,
-                    self._episode_return, result.info["distance"],
-                )
-                self._episode_return = 0.0
-                self.obs = self.env.reset()
-            else:
-                self.obs = result.observation
-            if self.global_step >= cfg.learning_starts and self.buffer.size >= cfg.batch_size:
+        for step, obs, action, result in run_episodes(self.env, self.act, log.add, cfg.n_timesteps):
+            self.global_step = step
+            self.buffer.push(obs, action, result.reward, result.observation)
+            if step >= cfg.learning_starts and self.buffer.size >= cfg.batch_size:
                 self.update_count += 1
-                try:
-                    td3_update(
-                        self.nets, self.buffer, cfg, self.global_step,
-                        self.noise_rng, self.update_count,
-                        self.critic_adam, self.actor_adam,
-                    )
-                except NumericError as err:
-                    raise NumericError(str(err), training_log=log) from None
-            if on_step is not None and not on_step(self.global_step):
+                td3_update(
+                    self.nets, self.buffer, cfg, step, self.noise_rng, self.update_count,
+                    self.critic_adam, self.actor_adam,
+                )
+            if not on_step(step):
                 return

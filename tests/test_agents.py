@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from reachrl.agents import (
     training_log_from_csv,
     training_log_to_csv,
 )
-from reachrl.envs import make_env, registry_lookup
+from reachrl.envs import make_env, registry_lookup, run_episodes
 from reachrl.errors import ValidationError
 from reachrl.nets import GaussianHead, gaussian_log_prob, mlp_forward, mlp_init
 from reachrl.ppo import (
@@ -110,7 +111,7 @@ def small_ppo_nets(obs_dim=3, act_dim=2, seed=0):
 def test_ppo_log_prob_bookkeeping_exact():
     env = make_env("reach-planar-v1", seed=0)
     trainer = PpoTrainer(env, PpoConfig(n_timesteps=64, rollout_len=64, minibatch_size=32), seed=0)
-    batch = trainer.collect_rollout(TrainingLog(), 64)
+    batch = trainer.collect_rollout(run_episodes(env, trainer.act, TrainingLog().add, 64), 64)
     for i in range(64):
         mean = mlp_forward(trainer.policy, batch.observations[i])
         lp = gaussian_log_prob(mean, trainer.head.log_std, batch.actions[i])
@@ -120,7 +121,7 @@ def test_ppo_log_prob_bookkeeping_exact():
 def test_ppo_ratio_one_on_first_minibatch():
     env = make_env("reach-planar-v1", seed=1)
     trainer = PpoTrainer(env, PpoConfig(n_timesteps=64, rollout_len=64, minibatch_size=64), seed=1)
-    batch = trainer.collect_rollout(TrainingLog(), 64)
+    batch = trainer.collect_rollout(run_episodes(env, trainer.act, TrainingLog().add, 64), 64)
     mean = mlp_forward(trainer.policy, batch.observations)
     lp_new = gaussian_log_prob(mean, trainer.head.log_std, batch.actions)
     ratio = np.exp(lp_new - batch.log_probs)
@@ -201,7 +202,7 @@ def test_ppo_gradient_norm_clipped():
     env = make_env("reach-planar-v1", seed=4)
     config = PpoConfig(n_timesteps=128, rollout_len=128, minibatch_size=32, n_epochs=1, max_grad_norm=0.5)
     trainer = PpoTrainer(env, config, seed=4)
-    batch = trainer.collect_rollout(TrainingLog(), 128)
+    batch = trainer.collect_rollout(run_episodes(env, trainer.act, TrainingLog().add, 128), 128)
     from reachrl.ppo import compute_gae as gae
     from reachrl.nets import clip_grad_norm
 
@@ -232,7 +233,7 @@ def test_ppo_config_invariants():
 def test_replay_ring_semantics(capacity, n):
     buffer = ReplayBuffer(capacity, obs_dim=1, act_dim=1)
     for i in range(n):
-        buffer.push([float(i)], [0.0], 0.0, [0.0], False)
+        buffer.push([float(i)], [0.0], 0.0, [0.0])
     assert buffer.size == min(n, capacity)
     stored = {int(v) for v in buffer.observations[: buffer.size, 0]}
     assert stored == set(range(max(0, n - capacity), n))
@@ -241,7 +242,7 @@ def test_replay_ring_semantics(capacity, n):
 def test_replay_sample_only_touches_filled_slots():
     buffer = ReplayBuffer(100, obs_dim=1, act_dim=1)
     for i in range(7):
-        buffer.push([float(i + 1)], [0.0], 0.0, [0.0], False)
+        buffer.push([float(i + 1)], [0.0], 0.0, [0.0])
     rng = np.random.default_rng(0)
     for _ in range(20):
         batch = buffer.sample(32, rng)
@@ -256,7 +257,7 @@ def scripted_buffer(obs_dim, act_dim, n=400, seed=0):
     for _ in range(n):
         buffer.push(
             rng.normal(size=obs_dim), rng.uniform(-1, 1, size=act_dim),
-            float(rng.normal()), rng.normal(size=obs_dim), bool(rng.uniform() < 0.1),
+            float(rng.normal()), rng.normal(size=obs_dim),
         )
     return buffer
 
@@ -294,6 +295,39 @@ def test_td3_gamma_zero_target_is_reward():
     report = td3_update(nets, buffer, config, step=10, rng=np.random.default_rng(7),
                         update_count=1, critic_adam=critic_adam, actor_adam=actor_adam)
     assert report.critic_loss == pytest.approx(expected, abs=1e-12)
+
+
+def test_td3_horizon_transition_bootstraps():
+    # Episodes end only by time limit, so the horizon step's target keeps
+    # gamma * min(Q1', Q2') of the final observation.
+    env = make_env("reach-planar-v1", seed=0)
+    rng = np.random.default_rng(1)
+    *_, (_, obs, action, result) = run_episodes(
+        env, lambda obs: rng.uniform(-1, 1, size=2), lambda *episode: None, env.config.episode_len
+    )
+    assert result.done
+    nets = make_td3_nets(env.config.obs_dim(), 2, np.random.default_rng(2))
+    config = Td3Config(gamma=0.9, batch_size=1, learning_starts=0, buffer_size=1)
+    buffer = ReplayBuffer(1, env.config.obs_dim(), 2)
+    buffer.push(obs, action, result.reward, result.observation)
+    # Clone the generator to recover the target-policy noise the update draws.
+    clone = np.random.default_rng(7)
+    clone.integers(0, 1, size=1)
+    noise = np.clip(
+        clone.normal(0.0, config.policy_noise, size=(1, 2)), -config.noise_clip, config.noise_clip
+    )
+    next_obs = result.observation[None]
+    next_action = np.clip(np.tanh(mlp_forward(nets.actor_target, next_obs)) + noise, -1.0, 1.0)
+    next_in = np.concatenate([next_obs, next_action], axis=1)
+    q_next = min(mlp_forward(critic, next_in)[0, 0] for critic in (nets.critic1_target, nets.critic2_target))
+    target = result.reward + config.gamma * q_next
+    critic_in = np.concatenate([obs, action])[None]
+    expected = sum((mlp_forward(critic, critic_in)[0, 0] - target) ** 2 for critic in (nets.critic1, nets.critic2))
+    critic_adam = adam_init(nets.critic1.params() + nets.critic2.params(), config.lr)
+    actor_adam = adam_init(nets.actor.params(), config.lr)
+    report = td3_update(nets, buffer, config, step=10, rng=np.random.default_rng(7),
+                        update_count=1, critic_adam=critic_adam, actor_adam=actor_adam)
+    assert report.critic_loss == pytest.approx(expected, rel=1e-12)
 
 
 def test_td3_underfull_buffer_rejected():
@@ -393,6 +427,36 @@ def test_make_algo_config_rejects_unknown_hyperparameter():
     assert config.lr == 0.001
     assert config.rollout_len == 512
     assert isinstance(config.rollout_len, int)
+
+
+def test_ppo_checkpoint_at_rollout_end_scores_updated_policy():
+    config = PpoConfig(n_timesteps=512, rollout_len=512, minibatch_size=64, n_epochs=2)
+    seen = {}
+
+    def checkpoint(step, artifact):
+        seen[step] = policy_to_json(artifact)
+        return True
+
+    artifact, _ = train("ppo", "reach-planar-v1", 3, config,
+                        checkpoint_steps=(512,), checkpoint_fn=checkpoint)
+    assert seen == {512: policy_to_json(artifact)}
+
+
+def test_no_trainer_outlives_train():
+    configs = {
+        "ppo": PpoConfig(n_timesteps=128, rollout_len=64, minibatch_size=32, n_epochs=1),
+        "td3": Td3Config(n_timesteps=64, buffer_size=64, batch_size=16, learning_starts=32),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for algo, config in configs.items():
+            train(algo, "reach-planar-v1", 0, config,
+                  checkpoint_steps=(32, 64), checkpoint_fn=lambda step, artifact: True)
+        alive = [o for o in gc.get_objects() if isinstance(o, (PpoTrainer, Td3Trainer))]
+    finally:
+        gc.enable()
+    assert alive == []
 
 
 def test_checkpoint_callback_fires_and_can_stop():

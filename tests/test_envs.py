@@ -17,6 +17,7 @@ from reachrl.envs import (
     make_env,
     registered_env_ids,
     registry_lookup,
+    run_episodes,
     success_flags,
 )
 from reachrl.errors import LifecycleError, ValidationError
@@ -236,25 +237,58 @@ def test_reach_batch_rejects_empty_seed_list():
 
 @pytest.mark.parametrize("env_id", registered_env_ids())
 def test_batch_rows_equal_single_episodes_bit_for_bit(env_id):
+    # Both sides step through run_episodes, as training and evaluation do.
     seeds = [3, 14, 15, 92]
     config = registry_lookup(env_id)
     actions = np.random.default_rng(65).uniform(
         -1.5, 1.5, size=(config.episode_len, len(seeds), config.n_joints)
     )
+
+    def run(env, actions):
+        episodes = []
+        steps = list(run_episodes(
+            env, lambda obs: actions[env.step_count],
+            lambda *episode: episodes.append(episode), config.episode_len,
+        ))
+        return steps, episodes
+
     batch = make_env(config, seed=seeds)
-    start = (batch.observe(), batch.prev_distance)
-    steps = [batch.step(action) for action in actions]
-    assert steps[-1].done
+    start = (batch.observe(), batch.prev_distance, batch.goal.copy())
+    batch_steps, [(step, episode, returns, distance)] = run(batch, actions)
+    assert batch_steps[-1][3].done and (step, episode) == (config.episode_len, 1)
+    # The stream stops at the horizon without resetting the batch.
+    assert batch.step_count == config.episode_len and np.array_equal(batch.goal, start[2])
     for row, seed in enumerate(seeds):
         env = make_env(config, seed=seed)
         assert start[0][row].tobytes() == env.observe().tobytes()
         assert start[1][row] == env.prev_distance
-        for action, batch_result in zip(actions[:, row], steps):
-            result = env.step(action)
+        steps, [single] = run(env, actions[:, row])
+        assert type(single[2]) is float and single == (step, episode, returns[row], distance[row])
+        for (s, obs, _, result), (batch_s, batch_obs, _, batch_result) in zip(steps, batch_steps):
             assert type(result.reward) is float and type(result.info["distance"]) is float
+            assert s == batch_s and batch_obs[row].tobytes() == obs.tobytes()
             assert batch_result.observation[row].tobytes() == result.observation.tobytes()
             assert batch_result.reward[row] == result.reward
             assert batch_result.info["distance"][row] == result.info["distance"]
+
+
+def test_run_episodes_resets_when_resumed():
+    env = make_env("reach-planar-v1", seed=5)
+    episodes = []
+    steps = run_episodes(
+        env, lambda obs: np.full(2, 0.5), lambda *episode: episodes.append(episode[:2]), 250
+    )
+    first_goal = env.goal.copy()
+    second_start = make_env("reach-planar-v1", seed=5).reset()
+    for step, obs, action, result in steps:
+        if step == 100:
+            assert result.done and env.step_count == 100
+            assert np.array_equal(env.goal, first_goal)
+        if step == 101:
+            assert env.step_count == 1 and not np.array_equal(env.goal, first_goal)
+            assert obs.tobytes() == second_start.tobytes()
+    assert step == 250 and episodes == [(100, 1), (200, 2)]
+    assert env.step_count == 50
 
 
 def test_set_goal_pins_every_row():

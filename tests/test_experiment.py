@@ -1,6 +1,7 @@
 import json
 import shutil
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import get_context
 
 import pytest
 
@@ -190,6 +191,29 @@ def test_experiment_id_taken_after_listing_moves_to_next(tmp_path, monkeypatch):
     assert (first.exp_id, second.exp_id) == (1, 2)
     assert load_experiment(tmp_path, 1).algo == "random"
     assert load_experiment(tmp_path, 2).algo == "ppo"
+
+
+def _create_five_experiments(workspace, child, barrier):
+    barrier.wait()
+    for i in range(5):
+        create_experiment(workspace, "random", "reach-planar-v1", 100, 1, base_seed=10 * child + i)
+
+
+def test_two_spawned_processes_never_share_an_experiment_id(tmp_path):
+    ctx = get_context("spawn")
+    barrier = ctx.Barrier(2)
+    children = [
+        ctx.Process(target=_create_five_experiments, args=(tmp_path, child, barrier))
+        for child in range(2)
+    ]
+    for child in children:
+        child.start()
+    for child in children:
+        child.join(timeout=120)
+    assert [child.exitcode for child in children] == [0, 0]
+    assert list_experiment_ids(tmp_path) == list(range(1, 11))
+    records = [load_experiment(tmp_path, exp_id) for exp_id in range(1, 11)]
+    assert sorted(r.base_seed for r in records) == [0, 1, 2, 3, 4, 10, 11, 12, 13, 14]
 
 
 def test_rerunning_complete_requires_overwrite(tmp_path):
