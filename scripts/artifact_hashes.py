@@ -15,6 +15,12 @@ deterministically and once with ``--stochastic``, and prints its
 ``benchmark.csv`` row after each (without ``train_walltime_s``, which is a
 wall time) and the hashes of ``episode_eval.csv`` and ``episode_panels.svg``.
 
+Last, it runs one small PPO study on reach-v1 (6 trials x 256 steps, 2
+checkpoints) at ``--parallel 1`` and at ``--parallel 2``, and prints the
+hashes of each study's ``trials.csv`` and ``best_config.json``; the two
+pairs must be equal.  BLAS is pinned to one thread before numpy loads, so
+the in-process ``--parallel 1`` study runs as the spawned workers do.
+
     PYTHONPATH=src python scripts/artifact_hashes.py
 """
 
@@ -22,11 +28,14 @@ import contextlib
 import csv
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from reachrl.cli import main as cli
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+from reachrl.cli import main as cli  # noqa: E402  (after pinning BLAS)
 
 RUNS = (
     ("ppo", ["--algo", "ppo", "--env", "reach-planar-v1", "--n-timesteps", "4096",
@@ -37,6 +46,8 @@ RUNS = (
                 "--n-seeds", "2", "--base-seed", "7"]),
 )
 EVALUATIONS = (("deterministic", []), ("stochastic", ["--stochastic"]))
+TUNE = ["--algo", "ppo", "--env", "reach-v1", "--n-trials", "6",
+        "--timesteps-per-trial", "256", "--checkpoints", "2"]
 
 
 def run_cli(name: str, args: list[str]) -> None:
@@ -66,6 +77,11 @@ def main() -> int:
             print(f"ppo evaluate {mode} benchmark.csv {','.join(row.values())}")
             for artifact in ("episode_eval.csv", "episode_panels.svg"):
                 print(f"ppo evaluate {mode} {artifact} {sha256(Path(workspace) / 'exp_1' / artifact)}")
+        for study_id, parallel in enumerate((1, 2), start=1):
+            run_cli("ppo", ["tune", *TUNE, "--parallel", str(parallel), "--workspace", workspace])
+            study = Path(workspace) / "studies" / f"study_{study_id}"
+            for artifact in ("trials.csv", "best_config.json"):
+                print(f"ppo tune parallel={parallel} {artifact} {sha256(study / artifact)}")
     return 0
 
 

@@ -43,6 +43,17 @@ def _default_workspace() -> str:
     return os.environ.get("RL_REACH_WORKSPACE", DEFAULT_WORKSPACE)
 
 
+def _parallelism(requested: int | None, cap: int) -> int:
+    """``--parallel`` as given, else the cores this process may run on, at most ``cap``."""
+    if requested is not None:
+        return requested
+    if hasattr(os, "sched_getaffinity"):  # not on every platform, macOS for one
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, cap)
+
+
 def _parse_hp_value(text: str):
     for cast in (int, float):
         try:
@@ -78,7 +89,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n-timesteps", required=True, type=int)
     p.add_argument("--n-seeds", required=True, type=int)
     p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--parallel", type=int, default=1, help="max concurrent seed runs")
+    p.add_argument(
+        "--parallel", type=int,
+        help="max concurrent seed runs (default: usable cores, at most --n-seeds)",
+    )
     p.add_argument(
         "--hp", action="append", metavar="KEY=VALUE",
         help="hyperparameter override (repeatable)",
@@ -105,6 +119,12 @@ def build_parser() -> _Parser:
     p.add_argument("--timesteps-per-trial", required=True, type=int)
     p.add_argument("--checkpoints", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--parallel", type=int,
+        help="max concurrent trials; above 1 each runs in a spawned worker with "
+        "single-threaded BLAS (default: usable cores, at most --n-trials); the study "
+        "files do not depend on it when this process's BLAS is single-threaded too",
+    )
     add_workspace(p)
 
     p = sub.add_parser("plot", help="training curves for one experiment")
@@ -125,7 +145,9 @@ def cmd_train(args) -> int:
     )
     print(f"created experiment {record.exp_id} ({record.algo} on {record.env_id}, "
           f"{record.n_seeds} seeds x {record.n_timesteps} timesteps)")
-    record = run_experiment(workspace, record.exp_id, parallelism=args.parallel)
+    record = run_experiment(
+        workspace, record.exp_id, parallelism=_parallelism(args.parallel, args.n_seeds)
+    )
     print(f"status: {record.status}")
     print(f"exp_id={record.exp_id}")
     return 0 if record.status == STATUS_COMPLETE else 2
@@ -177,6 +199,7 @@ def cmd_tune(args) -> int:
         Path(args.workspace), args.algo.lower(), args.env,
         default_space(args.algo.lower()), args.n_trials,
         args.timesteps_per_trial, checkpoints=args.checkpoints, seed=args.seed,
+        parallel=_parallelism(args.parallel, args.n_trials),
     )
     for trial in report.trials:
         final = "" if trial.final_value is None else f" final={trial.final_value:.6g}"

@@ -4,24 +4,46 @@ A study samples trial configs from a search space, trains each trial while
 reporting the mean deterministic evaluation return (higher is better) at
 evenly spaced checkpoints, and prunes a trial whose checkpoint value falls
 strictly below the median of prior trials at the same checkpoint.  Studies
-run sequentially and are deterministic given their seed.
+are deterministic given their seed, whatever their parallelism.
+
+The configs are drawn up front, in trial order.  With ``parallel`` P > 1
+the trials run in P spawned workers, handed out in trial order, each
+worker blocking at every checkpoint report until the parent answers
+continue or prune.
+The parent answers trial i's report through the same decision function as
+the in-process loop, and only once it would read what the sequential study
+reads: at once when i is below ``min_trials_before_prune`` (too few priors
+to prune against), else once every trial j < i has ended.  A trial having
+reported that checkpoint is not enough, since a trial that raises
+NumericError later drops out of the priors.  Trial 0 never waits, so the
+gate cannot deadlock, and ``trials.csv`` and ``best_config.json`` are
+byte-identical for every P.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import re
 import statistics
+import traceback
 from dataclasses import dataclass, field
+from multiprocessing import get_context
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
 
 from .agents import EVAL_SEED_OFFSET, make_algo_config, train
-from .errors import NumericError, ValidationError
-from .ioutil import atomic_write_text, claim_numbered_dir
+from .errors import NumericError, ReachError, ValidationError
+from .ioutil import (
+    atomic_write_text,
+    claim_numbered_dir,
+    reaped_resource_tracker,
+    single_threaded_blas_env,
+)
 
 MIN_TRIALS_BEFORE_PRUNE = 5
 
@@ -233,6 +255,137 @@ def trials_to_csv(trials: list[Trial], dimension_names: list[str]) -> str:
     return buffer.getvalue()
 
 
+def _decide(
+    trials: list[Trial], min_trials_before_prune: int, trial_id: int, step: int, value: float
+) -> bool:
+    """Record trial ``trial_id``'s checkpoint value; True continues it, False prunes it.
+
+    The priors are the values at ``step`` of the earlier trials that did not
+    fail, so the answer is final only once those trials have ended, or when
+    there are too few of them to prune against.
+    """
+    trial = trials[trial_id]
+    trial.intermediate_values.append((step, value))
+    priors = [
+        v
+        for other in trials[:trial_id]
+        if other.state != TRIAL_FAILED and (v := other.value_at(step)) is not None
+    ]
+    if should_prune(priors, value, min_trials_before_prune):
+        trial.state = TRIAL_PRUNED
+        trial.pruned_at_step = step
+        return False
+    return True
+
+
+def _run_trial(run_args: tuple, trial_id: int, config: dict, report) -> tuple[float | None, bool]:
+    """Run one trial with seed ``seed + 1 + trial_id``; returns its final
+    value and whether it raised NumericError."""
+    trial_runner, algo, env_id, seed, steps = run_args
+    try:
+        return trial_runner(algo, env_id, seed + 1 + trial_id, config, steps, report), False
+    except NumericError:
+        return None, True
+
+
+def _end_trial(trial: Trial, final: float | None, failed: bool) -> None:
+    if failed:
+        trial.state = TRIAL_FAILED
+        trial.final_value = None
+    elif trial.state != TRIAL_PRUNED:
+        trial.state = TRIAL_COMPLETE
+        trial.final_value = None if final is None else float(final)
+
+
+def _trial_worker(conn, run_args: tuple) -> None:
+    """Run the trials the parent sends, ``(trial_id, config)`` each, until it
+    sends None; module-level so that spawned workers can start it.
+
+    Each checkpoint report waits for the parent's decision.  A trial ends
+    with ("end", (final, failed)), or with ("error", (exception, traceback
+    text)) for an exception other than NumericError, after which the worker
+    stops.
+    """
+
+    def report(step, value):
+        conn.send(("report", (step, value)))
+        return conn.recv()
+
+    while (job := conn.recv()) is not None:
+        try:
+            outcome = _run_trial(run_args, *job, report)
+        except Exception as err:
+            conn.send(("error", (err, traceback.format_exc())))
+            return
+        conn.send(("end", outcome))
+
+
+def _run_trials_in_workers(
+    trials: list[Trial], min_trials_before_prune: int, parallel: int, run_args: tuple
+) -> None:
+    """Run the trials in ``parallel`` spawned workers, handing them out in
+    trial order, and answer each report once the gate lets ``_decide`` read
+    what the sequential study reads (see the module docstring).
+
+    Workers are joined on every exit path; a trial's exception other than
+    NumericError stops them all and is re-raised here.
+    """
+    ctx = get_context("spawn")
+    workers = []
+    try:
+        with single_threaded_blas_env():
+            for _ in range(min(parallel, len(trials))):
+                conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(target=_trial_worker, args=(child_conn, run_args))
+                proc.start()
+                child_conn.close()
+                workers.append((proc, conn))
+        queue = iter(trials)
+        running = {}  # connection -> id of the trial it runs
+        pending = {}  # trial id -> (connection, step, value) awaiting a decision
+
+        def start_next(conn):
+            trial = next(queue, None)
+            if trial is None:
+                conn.send(None)
+            else:
+                conn.send((trial.trial_id, trial.config))
+                running[conn] = trial.trial_id
+
+        for _, conn in workers:
+            start_next(conn)
+        while running:
+            for conn in wait(list(running)):
+                trial_id = running[conn]
+                try:
+                    kind, payload = conn.recv()
+                except EOFError:
+                    raise ReachError(f"the worker running trial {trial_id} exited") from None
+                if kind == "report":
+                    pending[trial_id] = (conn, *payload)
+                    continue
+                if kind == "error":
+                    err, text = payload
+                    raise err from Exception(f"in trial {trial_id}, in its worker:\n{text}")
+                _end_trial(trials[trial_id], *payload)
+                del running[conn]
+                start_next(conn)
+            oldest = min(running.values(), default=None)
+            for trial_id in sorted(pending):
+                # The gate: too few priors to prune, or every earlier trial has ended.
+                if trial_id < min_trials_before_prune or trial_id == oldest:
+                    conn, step, value = pending.pop(trial_id)
+                    conn.send(_decide(trials, min_trials_before_prune, trial_id, step, value))
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, conn in workers:
+            conn.close()
+            proc.join()
+
+
 def run_study(
     workspace: Path,
     algo: str,
@@ -244,40 +397,32 @@ def run_study(
     seed: int = 0,
     trial_runner=training_trial_runner,
     min_trials_before_prune: int = MIN_TRIALS_BEFORE_PRUNE,
+    parallel: int = 1,
 ) -> StudyReport:
-    """Run a sequential study and write trials.csv plus best_config.json."""
+    """Run a study and write trials.csv plus best_config.json.
+
+    Trial i trains with seed ``seed + 1 + i``.  ``parallel`` 1 runs the
+    trials one after another in this process; more runs them in that many
+    spawned workers with single-threaded BLAS, which needs a ``trial_runner``
+    that pickles (a module-level function).  The files are byte-identical
+    across ``parallel`` when this process's BLAS is single-threaded too.
+    """
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
+    if parallel < 1:
+        raise ValidationError(f"parallel must be >= 1, got {parallel}")
     steps = checkpoint_schedule(timesteps_per_trial, checkpoints)
     sampler = np.random.default_rng(seed)
-    trials: list[Trial] = []
+    trials = [Trial(trial_id=i, config=sample_config(space, sampler)) for i in range(n_trials)]
 
-    for trial_id in range(n_trials):
-        trial = Trial(trial_id=trial_id, config=sample_config(space, sampler))
-
-        def report(step, value, trial=trial):
-            trial.intermediate_values.append((step, value))
-            priors = [
-                v
-                for other in trials
-                if other.state != TRIAL_FAILED and (v := other.value_at(step)) is not None
-            ]
-            if should_prune(priors, value, min_trials_before_prune):
-                trial.state = TRIAL_PRUNED
-                trial.pruned_at_step = step
-                return False
-            return True
-
-        try:
-            final = trial_runner(algo, env_id, seed + 1 + trial_id, trial.config, steps, report)
-        except NumericError:
-            trial.state = TRIAL_FAILED
-            trial.final_value = None
-        else:
-            if trial.state != TRIAL_PRUNED:
-                trial.state = TRIAL_COMPLETE
-                trial.final_value = None if final is None else float(final)
-        trials.append(trial)
+    run_args = (trial_runner, algo, env_id, seed, steps)
+    if parallel == 1:
+        for trial in trials:
+            report = functools.partial(_decide, trials, min_trials_before_prune, trial.trial_id)
+            _end_trial(trial, *_run_trial(run_args, trial.trial_id, trial.config, report))
+    else:
+        with reaped_resource_tracker():
+            _run_trials_in_workers(trials, min_trials_before_prune, parallel, run_args)
 
     complete = [t for t in trials if t.state == TRIAL_COMPLETE and t.final_value is not None]
     if not complete:

@@ -68,6 +68,32 @@ def single_threaded_blas_env():
 
 
 @contextmanager
+def reaped_resource_tracker():
+    """Stop multiprocessing's resource tracker on exit if the block started it.
+
+    Spawning a child starts the tracker.  Left running, it outlives this
+    process as an orphan until whoever adopts it reaps it, so a command's
+    process group lingers after the command exits.  For blocks whose
+    children use only pipes: stopping the tracker unlinks any semaphore or
+    shared memory still registered with it.
+
+    The tracker's ``_fd`` and ``_stop`` are CPython internals, so this is
+    best-effort: where they are missing, the tracker is left to exit on its
+    own rather than failing the block.
+    """
+    from multiprocessing import resource_tracker
+
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    stop = getattr(tracker, "_stop", None)
+    started_here = stop is not None and getattr(tracker, "_fd", 0) is None
+    try:
+        yield
+    finally:
+        if started_here:
+            stop()
+
+
+@contextmanager
 def exclusive_lock(lock_path: Path):
     """Block until an exclusive advisory lock on ``lock_path`` is held."""
     lock_path = Path(lock_path)

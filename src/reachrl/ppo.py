@@ -9,6 +9,7 @@ clipped before every step.  Rollouts are consecutive slices of one
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import islice
 
@@ -228,10 +229,11 @@ class PpoTrainer:
         self.adam = adam_init(params, config.lr)
 
     def artifact(self):
+        """The current policy, as a copy that later updates leave alone."""
         from .agents import PolicyArtifact
 
         return PolicyArtifact(
-            kind="gaussian", net=self.policy, log_std=self.head.log_std.copy(),
+            kind="gaussian", net=copy.deepcopy(self.policy), log_std=self.head.log_std.copy(),
             n_actions=self.env.config.n_joints,
         )
 

@@ -215,10 +215,11 @@ class Td3Trainer:
         self.update_count = 0
 
     def artifact(self):
+        """The current actor, as a copy that later updates leave alone."""
         from .agents import PolicyArtifact
 
         return PolicyArtifact(
-            kind="tanh", net=self.nets.actor, log_std=None,
+            kind="tanh", net=copy.deepcopy(self.nets.actor), log_std=None,
             n_actions=self.env.config.n_joints,
         )
 

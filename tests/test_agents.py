@@ -442,6 +442,24 @@ def test_ppo_checkpoint_at_rollout_end_scores_updated_policy():
     assert seen == {512: policy_to_json(artifact)}
 
 
+@pytest.mark.parametrize("algo, config", [
+    ("ppo", PpoConfig(n_timesteps=128, rollout_len=64, minibatch_size=32, n_epochs=1)),
+    ("td3", Td3Config(n_timesteps=96, buffer_size=96, batch_size=16, learning_starts=32)),
+])
+def test_kept_checkpoint_artifact_is_unchanged_by_later_training(algo, config):
+    kept = []
+
+    def checkpoint(step, artifact):
+        kept.append((artifact, policy_to_json(artifact)))
+        return True
+
+    final, _ = train(algo, "reach-planar-v1", 0, config,
+                     checkpoint_steps=(64,), checkpoint_fn=checkpoint)
+    [(artifact, text)] = kept
+    assert policy_to_json(final) != text  # training moved on after the checkpoint
+    assert policy_to_json(artifact) == text
+
+
 def test_no_trainer_outlives_train():
     configs = {
         "ppo": PpoConfig(n_timesteps=128, rollout_len=64, minibatch_size=32, n_epochs=1),

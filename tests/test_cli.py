@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from reachrl.cli import main
+import reachrl
+from reachrl.cli import _parallelism, main
 from reachrl.evaluation import read_benchmark
 
 FAST_HP = ["--hp", "rollout_len=64", "--hp", "minibatch_size=32", "--hp", "n_epochs=1"]
@@ -171,6 +176,60 @@ def test_tune_single_trial_best_config(tmp_path, capsys):
     best = json.loads((tmp_path / "studies" / "study_1" / "best_config.json").read_text())
     trials_csv = (tmp_path / "studies" / "study_1" / "trials.csv").read_text()
     assert str(best["rollout_len"]) in trials_csv
+
+
+def test_parallel_defaults_to_usable_cores_capped():
+    cores = len(os.sched_getaffinity(0))
+    assert _parallelism(None, 1) == 1
+    assert _parallelism(None, cores + 5) == cores
+    assert _parallelism(3, 1) == 3
+
+
+def test_parallel_default_without_sched_getaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _parallelism(None, 8) == 3
+    assert _parallelism(None, 2) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _parallelism(None, 8) == 1
+
+
+def test_tune_parallel_zero_exits_one(tmp_path, capsys):
+    code = run([
+        "tune", "--algo", "ppo", "--env", "reach-planar-v1", "--n-trials", "2",
+        "--timesteps-per-trial", "128", "--checkpoints", "1", "--parallel", "0",
+        "--workspace", str(tmp_path),
+    ])
+    assert code == 1
+    assert "error: parallel must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "studies").exists()
+
+
+def test_tune_files_do_not_depend_on_parallel(tmp_path, capsys):
+    def tune(parallel):
+        workspace = tmp_path / f"p{parallel}"
+        assert run([
+            "tune", "--algo", "ppo", "--env", "reach-planar-v1", "--n-trials", "3",
+            "--timesteps-per-trial", "128", "--checkpoints", "2", "--seed", "4",
+            "--parallel", str(parallel), "--workspace", str(workspace),
+        ]) == 0
+        study = workspace / "studies" / "study_1"
+        return [(study / name).read_bytes() for name in ("trials.csv", "best_config.json")]
+
+    assert tune(2) == tune(1)
+
+
+def test_parallel_tune_leaves_no_process_behind(tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reachrl.cli", "tune", "--algo", "ppo", "--env", "reach-planar-v1",
+         "--n-trials", "2", "--timesteps-per-trial", "64", "--checkpoints", "1",
+         "--parallel", "2", "--workspace", str(tmp_path)],
+        stdout=subprocess.DEVNULL, start_new_session=True,
+        env={**os.environ, "PYTHONPATH": str(Path(reachrl.__file__).parents[1])},
+    )
+    assert proc.wait(timeout=120) == 0
+    with pytest.raises(ProcessLookupError):  # nothing is left in its process group
+        os.killpg(proc.pid, 0)
 
 
 def test_corrupt_benchmark_exits_two(tmp_path, capsys):

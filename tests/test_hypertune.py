@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from reachrl.hypertune import (
     should_prune,
     trials_to_csv,
 )
+from reachrl.ioutil import reaped_resource_tracker
 
 
 def test_sample_singleton_categorical_is_constant():
@@ -233,3 +236,75 @@ def test_real_training_trial_runner_smoke(tmp_path):
     assert study.best.state == TRIAL_COMPLETE
     assert study.best.final_value is not None
     assert [s for s, _ in study.best.intermediate_values] == [64, 128]
+
+
+# Module-level runners, so that spawned workers can unpickle them.  Trial i of
+# a study with seed 0 trains with seed i + 1.
+
+def staggered_runner(algo, env_id, seed, config, steps, report):
+    """Metric lr * step; trials with odd ids run slowly, so later trials reach
+    their checkpoints while earlier ones still run."""
+    for step in steps:
+        time.sleep(0.03 if seed % 2 == 0 else 0.0)
+        if not report(step, config["lr"] * step):
+            return None
+    return config["lr"] * steps[-1]
+
+
+def report_then_diverge_runner(algo, env_id, seed, config, steps, report):
+    """As staggered_runner, but trials 0, 3 and 6 report the top value at
+    every checkpoint, wait, and then raise NumericError."""
+    if seed % 3 != 1:
+        return staggered_runner(algo, env_id, seed, config, steps, report)
+    for step in steps:
+        report(step, float(step))
+    time.sleep(0.1)
+    raise NumericError("synthetic divergence after reporting")
+
+
+def crashing_runner(algo, env_id, seed, config, steps, report):
+    """Trial 2 raises RuntimeError after its first report; the others are slow."""
+    report(steps[0], config["lr"])
+    if seed == 3:
+        raise RuntimeError("synthetic crash in trial 2")
+    time.sleep(0.5)
+    return config["lr"]
+
+
+def study_bytes(workspace, runner, parallel):
+    study = run_study(
+        workspace, "ppo", "reach-planar-v1", {"lr": Uniform(0.0, 1.0)}, n_trials=9,
+        timesteps_per_trial=300, checkpoints=3, seed=0, trial_runner=runner,
+        min_trials_before_prune=2, parallel=parallel,
+    )
+    return [(study.study_dir / name).read_bytes() for name in ("trials.csv", "best_config.json")]
+
+
+@pytest.mark.parametrize("runner", [staggered_runner, report_then_diverge_runner])
+def test_parallel_study_is_byte_identical_to_sequential(tmp_path, runner):
+    sequential = study_bytes(tmp_path / "p1", runner, 1)
+    assert b"Pruned" in sequential[0]
+    if runner is report_then_diverge_runner:
+        assert sequential[0].count(b"Failed") == 3
+    for parallel in (2, 3):
+        assert study_bytes(tmp_path / f"p{parallel}", runner, parallel) == sequential
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exception_is_reraised_and_workers_joined(tmp_path):
+    with pytest.raises(RuntimeError, match="synthetic crash in trial 2"):
+        run_study(
+            tmp_path, "ppo", "reach-planar-v1", {"lr": Uniform(0.1, 1.0)}, n_trials=6,
+            timesteps_per_trial=100, checkpoints=1, seed=0, trial_runner=crashing_runner,
+            parallel=3,
+        )
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "studies").exists()
+
+
+def test_tracker_cleanup_is_best_effort(monkeypatch):
+    from multiprocessing import resource_tracker
+
+    monkeypatch.setattr(resource_tracker, "_resource_tracker", object())
+    with reaped_resource_tracker():  # internals missing: nothing to stop, nothing raised
+        pass
