@@ -8,6 +8,9 @@ A trainer owns its env, nets and rngs exclusively, so runs with different
 seeds can execute concurrently with zero shared mutable state.  Every
 trainer steps through ``envs.run_episodes`` with ``TrainingLog.add`` as its
 episode callback, and calls ``on_step(s)`` once it has used step s.
+
+The PPO and TD3 modules are imported on first use, so loading and
+evaluating a policy loads no trainer.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import numpy as np
 from .envs import make_env, registry_lookup, run_episodes
 from .errors import NumericError, ValidationError
 from .nets import Mlp, mlp_forward, mlp_from_dict, mlp_to_dict
-from .ppo import PpoConfig, PpoTrainer
-from .td3 import Td3Config, Td3Trainer
 
 NET_SEED_OFFSET = 1000
 NOISE_SEED_OFFSET = 2000
@@ -99,16 +100,13 @@ class PolicyArtifact:
     log_std: np.ndarray | None = None
     n_actions: int = 0
 
-    def act(self, obs, deterministic: bool = True, rng: np.random.Generator | None = None):
-        return self.act_with_noise(obs, self.draw_noise(deterministic, rng, (self.n_actions,)))
-
     def draw_noise(
         self, deterministic: bool, rng: np.random.Generator | None, shape: tuple
     ) -> np.ndarray | None:
         """Action noise of ``shape`` (last axis: actions), or None if none is drawn.
 
         Values are drawn in C order, so one (episodes, steps, n_actions) block
-        holds the stream that act() consumes episode by episode.
+        holds the stream that an episode-by-episode loop consumes.
         """
         if deterministic or self.kind == "tanh":
             return None
@@ -157,16 +155,18 @@ def policy_from_json(text: str) -> PolicyArtifact:
     return policy_from_dict(json.loads(text))
 
 
-_CONFIG_CLASSES = {"ppo": PpoConfig, "td3": Td3Config, "random": RandomConfig}
-
-
 def make_algo_config(algo: str, n_timesteps: int, hyperparams: dict | None = None):
     """Build an algorithm config from defaults plus hyperparameter overrides."""
     if algo not in SUPPORTED_ALGOS:
         raise ValidationError(
             f"unknown algo {algo!r}; supported: {', '.join(SUPPORTED_ALGOS)}"
         )
-    cls = _CONFIG_CLASSES[algo]
+    if algo == "ppo":
+        from .ppo import PpoConfig as cls
+    elif algo == "td3":
+        from .td3 import Td3Config as cls
+    else:
+        cls = RandomConfig
     hyperparams = dict(hyperparams or {})
     if "n_timesteps" in hyperparams:
         raise ValidationError("n_timesteps is set by the experiment, not a hyperparameter")
@@ -222,7 +222,11 @@ def train(
     if algo == "random":
         artifact = lambda: PolicyArtifact(kind="random", n_actions=env.config.n_joints)
     else:
-        trainer = (PpoTrainer if algo == "ppo" else Td3Trainer)(env, config, seed)
+        if algo == "ppo":
+            from .ppo import PpoTrainer as Trainer
+        else:
+            from .td3 import Td3Trainer as Trainer
+        trainer = Trainer(env, config, seed)
         artifact = trainer.artifact
     pending = sorted(checkpoint_steps) if checkpoint_fn is not None else []
 

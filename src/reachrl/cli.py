@@ -5,6 +5,11 @@ train subcommand prints ``exp_id=<n>`` as its final stdout line so shell
 pipelines can chain train -> evaluate.  All output is plain UTF-8 text (no
 color codes); every filesystem write stays under the workspace, which
 defaults to $RL_REACH_WORKSPACE or ./experiments.
+
+Each command handler imports the subsystem it runs when it runs it, so a
+command loads only what it uses.  Spawned seed and trial workers import
+this module as their main module too, so whatever it imported at the top
+every worker would import (and compile) again.
 """
 
 from __future__ import annotations
@@ -15,17 +20,25 @@ import sys
 from pathlib import Path
 
 from .agents import SUPPORTED_ALGOS
-from .envs import registered_env_ids, registry_lookup
 from .errors import LifecycleError, ReachError, ValidationError
-from .experiment import (
-    DEFAULT_WORKSPACE,
-    STATUS_COMPLETE,
-    create_experiment,
-    run_experiment,
-)
-from .evaluation import evaluate_experiment, write_episode_log
-from .hypertune import default_space, run_study
-from .report import DEFAULT_SMOOTHING_WINDOW, emit_benchmark_comparison, emit_episode_panels, emit_training_curves
+
+DEFAULT_WORKSPACE = "experiments"
+
+
+# Module-level names that the handlers call through, so that the benchmark's
+# traced run (perfbench/layers.py) can wrap them here.
+def run_study(*args, **kwargs):
+    """``hypertune.run_study``, imported on first use."""
+    from .hypertune import run_study
+
+    return run_study(*args, **kwargs)
+
+
+def emit_training_curves(*args, **kwargs):
+    """``report.emit_training_curves``, imported on first use."""
+    from .report import emit_training_curves
+
+    return emit_training_curves(*args, **kwargs)
 
 
 class _UsageError(Exception):
@@ -129,7 +142,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("plot", help="training curves for one experiment")
     p.add_argument("--exp-id", required=True, type=int)
-    p.add_argument("--window", type=int, default=DEFAULT_SMOOTHING_WINDOW)
+    p.add_argument("--window", type=int)
     add_workspace(p)
 
     p = sub.add_parser("list-envs", help="list the registered environment variants")
@@ -138,6 +151,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_train(args) -> int:
+    from .experiment import STATUS_COMPLETE, create_experiment, run_experiment
+
     workspace = Path(args.workspace)
     record = create_experiment(
         workspace, args.algo, args.env, args.n_timesteps, args.n_seeds,
@@ -154,6 +169,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import evaluate_experiment, write_episode_log
+
     workspace = Path(args.workspace)
     metrics, _ = evaluate_experiment(
         workspace, args.exp_id, n_episodes=args.n_eval_episodes,
@@ -174,6 +191,8 @@ def cmd_evaluate(args) -> int:
         text = f"{value:.6g}" if isinstance(value, float) else str(value)
         print(f"{name:<24} {text}")
     if args.log_episode:
+        from .report import emit_episode_panels
+
         episode, csv_path = write_episode_log(workspace, args.exp_id)
         svg_path, _ = emit_episode_panels(episode, csv_path.parent)
         print(f"episode log: {csv_path}")
@@ -182,6 +201,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from .report import emit_benchmark_comparison
+
     try:
         exp_ids = [int(part) for part in args.exp_ids.split(",") if part]
     except ValueError:
@@ -195,6 +216,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    from .hypertune import default_space
+
     report = run_study(
         Path(args.workspace), args.algo.lower(), args.env,
         default_space(args.algo.lower()), args.n_trials,
@@ -210,13 +233,18 @@ def cmd_tune(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    svg_path, csv_path = emit_training_curves(Path(args.workspace), args.exp_id, args.window)
+    from .report import DEFAULT_SMOOTHING_WINDOW
+
+    window = DEFAULT_SMOOTHING_WINDOW if args.window is None else args.window
+    svg_path, csv_path = emit_training_curves(Path(args.workspace), args.exp_id, window)
     print(f"training curves: {svg_path}")
     print(f"curve data: {csv_path}")
     return 0
 
 
 def cmd_list_envs(args) -> int:
+    from .envs import registered_env_ids, registry_lookup
+
     print(f"{'env_id':<18} {'action_mode':<14} {'obs_mode':<18} {'reward_type':<14} arm")
     for env_id in registered_env_ids():
         config = registry_lookup(env_id)

@@ -25,10 +25,8 @@ from __future__ import annotations
 import json
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from multiprocessing import get_context
 from pathlib import Path
 
 from .agents import (
@@ -40,9 +38,12 @@ from .agents import (
 )
 from .envs import registry_lookup
 from .errors import CorruptDataError, LifecycleError, ValidationError
-from .ioutil import atomic_write_text, claim_numbered_dir, single_threaded_blas_env
-
-DEFAULT_WORKSPACE = "experiments"
+from .ioutil import (
+    atomic_write_text,
+    claim_numbered_dir,
+    reaped_resource_tracker,
+    single_threaded_blas_env,
+)
 
 STATUS_CREATED = "Created"
 STATUS_RUNNING = "Running"
@@ -189,9 +190,14 @@ def _run_seed_tasks(directory: str, n_seeds: int, parallelism: int) -> list[dict
 
     Children get single-threaded BLAS, so the artifacts are bitwise
     independent of ``parallelism`` and of the parent's thread configuration.
+    The resource tracker is stopped after the pool has shut down, which
+    releases its queues' semaphores.
     """
-    with single_threaded_blas_env():
-        with ProcessPoolExecutor(
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with reaped_resource_tracker():
+        with single_threaded_blas_env(), ProcessPoolExecutor(
             max_workers=parallelism, mp_context=get_context("spawn")
         ) as pool:
             futures = [pool.submit(_run_seed_task, directory, k) for k in range(n_seeds)]

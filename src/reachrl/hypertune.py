@@ -411,6 +411,10 @@ def run_study(
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
     if parallel < 1:
         raise ValidationError(f"parallel must be >= 1, got {parallel}")
+    if min_trials_before_prune < 1:  # the median rule needs a prior trial
+        raise ValidationError(
+            f"min_trials_before_prune must be >= 1, got {min_trials_before_prune}"
+        )
     steps = checkpoint_schedule(timesteps_per_trial, checkpoints)
     sampler = np.random.default_rng(seed)
     trials = [Trial(trial_id=i, config=sample_config(space, sampler)) for i in range(n_trials)]

@@ -73,9 +73,10 @@ def reaped_resource_tracker():
 
     Spawning a child starts the tracker.  Left running, it outlives this
     process as an orphan until whoever adopts it reaps it, so a command's
-    process group lingers after the command exits.  For blocks whose
-    children use only pipes: stopping the tracker unlinks any semaphore or
-    shared memory still registered with it.
+    process group lingers after the command exits.  Every semaphore and
+    shared memory block the block created must be released by its end:
+    stopping the tracker unlinks whatever is still registered with it (and
+    warns of a leak), and a later release would start a new tracker.
 
     The tracker's ``_fd`` and ``_stop`` are CPython internals, so this is
     best-effort: where they are missing, the tracker is left to exit on its

@@ -15,6 +15,7 @@ from itertools import islice
 
 import numpy as np
 
+from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact
 from .envs import run_episodes
 from .errors import NumericError, ValidationError
 from .nets import (
@@ -214,8 +215,6 @@ class PpoTrainer:
     """Owns the env, the nets and the rngs for one seed run."""
 
     def __init__(self, env, config: PpoConfig, seed: int):
-        from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET
-
         self.env = env
         self.config = config
         obs_dim = env.config.obs_dim()
@@ -230,8 +229,6 @@ class PpoTrainer:
 
     def artifact(self):
         """The current policy, as a copy that later updates leave alone."""
-        from .agents import PolicyArtifact
-
         return PolicyArtifact(
             kind="gaussian", net=copy.deepcopy(self.policy), log_std=self.head.log_std.copy(),
             n_actions=self.env.config.n_joints,

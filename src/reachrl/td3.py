@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact
 from .envs import run_episodes
 from .errors import NumericError, ValidationError
 from .nets import (
@@ -197,8 +198,6 @@ class Td3Trainer:
     """Owns the env, nets, replay buffer and rngs for one seed run."""
 
     def __init__(self, env, config: Td3Config, seed: int):
-        from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET
-
         self.env = env
         self.config = config
         obs_dim = env.config.obs_dim()
@@ -216,8 +215,6 @@ class Td3Trainer:
 
     def artifact(self):
         """The current actor, as a copy that later updates leave alone."""
-        from .agents import PolicyArtifact
-
         return PolicyArtifact(
             kind="tanh", net=copy.deepcopy(self.nets.actor), log_std=None,
             n_actions=self.env.config.n_joints,

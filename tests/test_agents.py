@@ -409,14 +409,18 @@ def test_policy_artifact_round_trip_and_act():
     restored = policy_from_json(text)
     assert policy_to_json(restored) == text
     obs = np.zeros(5)
-    np.testing.assert_array_equal(artifact.act(obs), restored.act(obs))
+    np.testing.assert_array_equal(
+        artifact.act_with_noise(obs, None), restored.act_with_noise(obs, None)
+    )
 
 
 def test_random_policy_artifact():
     artifact = PolicyArtifact(kind="random", n_actions=2)
     restored = policy_from_json(policy_to_json(artifact))
-    np.testing.assert_array_equal(restored.act(np.zeros(5)), np.zeros(2))
-    sampled = restored.act(np.zeros(5), deterministic=False, rng=np.random.default_rng(0))
+    assert restored.draw_noise(True, None, (2,)) is None
+    np.testing.assert_array_equal(restored.act_with_noise(np.zeros(5), None), np.zeros(2))
+    noise = restored.draw_noise(False, np.random.default_rng(0), (2,))
+    sampled = restored.act_with_noise(np.zeros(5), noise)
     assert sampled.shape == (2,) and np.all(np.abs(sampled) <= 1.0)
 
 

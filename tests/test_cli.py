@@ -219,17 +219,65 @@ def test_tune_files_do_not_depend_on_parallel(tmp_path, capsys):
     assert tune(2) == tune(1)
 
 
-def test_parallel_tune_leaves_no_process_behind(tmp_path):
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(reachrl.__file__).parents[1])}
+
+
+def assert_leaves_no_process_behind(args):
+    """Run ``reachrl <args>`` in its own process group; it must exit 0 and
+    leave nothing running in that group, nor report leaked semaphores."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "reachrl.cli", "tune", "--algo", "ppo", "--env", "reach-planar-v1",
-         "--n-trials", "2", "--timesteps-per-trial", "64", "--checkpoints", "1",
-         "--parallel", "2", "--workspace", str(tmp_path)],
-        stdout=subprocess.DEVNULL, start_new_session=True,
-        env={**os.environ, "PYTHONPATH": str(Path(reachrl.__file__).parents[1])},
+        [sys.executable, "-m", "reachrl.cli", *args],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, env=SRC_ENV,
     )
-    assert proc.wait(timeout=120) == 0
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert "leaked semaphore" not in err
     with pytest.raises(ProcessLookupError):  # nothing is left in its process group
         os.killpg(proc.pid, 0)
+
+
+def test_parallel_tune_leaves_no_process_behind(tmp_path):
+    assert_leaves_no_process_behind(
+        ["tune", "--algo", "ppo", "--env", "reach-planar-v1", "--n-trials", "2",
+         "--timesteps-per-trial", "64", "--checkpoints", "1", "--parallel", "2",
+         "--workspace", str(tmp_path)]
+    )
+
+
+def test_parallel_train_leaves_no_process_behind(tmp_path):
+    assert_leaves_no_process_behind(
+        ["train", "--algo", "random", "--env", "reach-planar-v1", "--n-timesteps", "100",
+         "--n-seeds", "2", "--parallel", "2", "--workspace", str(tmp_path)]
+    )
+
+
+def modules_loaded_by(args) -> set[str]:
+    """The modules a fresh interpreter holds after running ``reachrl <args>``."""
+    code = (
+        "import sys\nfrom reachrl.cli import main\n"
+        "code = main(sys.argv[1:])\nprint(' '.join(sys.modules))\nsys.exit(code)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=120, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_commands_load_only_the_subsystems_they_run(tmp_path):
+    loaded = modules_loaded_by(["list-envs"])
+    assert loaded.isdisjoint({
+        "reachrl.experiment", "reachrl.evaluation", "reachrl.hypertune", "reachrl.report",
+        "concurrent.futures", "multiprocessing",
+    })
+    assert run(["train", "--algo", "random", "--env", "reach-planar-v1", "--n-timesteps", "100",
+                "--n-seeds", "1", "--workspace", str(tmp_path)]) == 0
+    loaded = modules_loaded_by(["evaluate", "--exp-id", "1", "--n-eval-episodes", "2",
+                                "--workspace", str(tmp_path)])
+    assert "reachrl.evaluation" in loaded
+    assert loaded.isdisjoint({
+        "reachrl.hypertune", "reachrl.report", "reachrl.ppo", "reachrl.td3", "concurrent.futures",
+    })
 
 
 def test_corrupt_benchmark_exits_two(tmp_path, capsys):

@@ -195,6 +195,17 @@ def test_all_failed_study_raises(tmp_path):
         )
 
 
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_study_rejects_warm_up_below_one_before_claiming(tmp_path, parallel):
+    with pytest.raises(ValidationError, match="min_trials_before_prune"):
+        run_study(
+            tmp_path, "ppo", "reach-planar-v1", {"lr": Uniform(0.1, 1.0)}, n_trials=2,
+            timesteps_per_trial=100, checkpoints=1, seed=0, trial_runner=lr_stub_runner,
+            min_trials_before_prune=0, parallel=parallel,
+        )
+    assert not (tmp_path / "studies").exists()
+
+
 def test_study_ids_increment(tmp_path):
     space = {"lr": Uniform(0.1, 1.0)}
     first = run_study(tmp_path, "ppo", "reach-planar-v1", space, 1, 100, 1, 0, lr_stub_runner)
