@@ -138,21 +138,27 @@ def policy_to_dict(policy: PolicyArtifact) -> dict:
 
 def policy_from_dict(doc: dict) -> PolicyArtifact:
     kind = doc.get("kind", "gaussian")
-    net = mlp_from_dict(doc) if doc["layer_shapes"] else None
-    log_std = np.asarray(doc["log_std"], dtype=float) if doc["log_std"] else None
     if kind == "random":
-        n_actions = int(doc["n_actions"])
-    else:
-        n_actions = net.out_dim
-    return PolicyArtifact(kind=kind, net=net, log_std=log_std, n_actions=n_actions)
+        return PolicyArtifact(kind=kind, n_actions=int(doc["n_actions"]))
+    if kind not in ("gaussian", "tanh"):
+        raise ValidationError(f"unknown policy kind {kind!r}")
+    net = mlp_from_dict(doc)
+    log_std = np.asarray(doc["log_std"], dtype=float) if kind == "gaussian" else None
+    if log_std is not None and log_std.shape != (net.out_dim,):
+        raise ValidationError(f"log_std of shape {log_std.shape} for {net.out_dim} actions")
+    return PolicyArtifact(kind=kind, net=net, log_std=log_std, n_actions=net.out_dim)
 
 
 def policy_to_json(policy: PolicyArtifact) -> str:
     return json.dumps(policy_to_dict(policy)) + "\n"
 
 
-def policy_from_json(text: str) -> PolicyArtifact:
-    return policy_from_dict(json.loads(text))
+def policy_from_json(text: str, source: str = "text") -> PolicyArtifact:
+    """The policy ``policy_to_json`` wrote; anything else raises ValidationError."""
+    try:
+        return policy_from_dict(json.loads(text))
+    except (KeyError, TypeError, ValueError, ValidationError) as err:  # JSONDecodeError too
+        raise ValidationError(f"{source} is not a valid policy: {err!r}") from None
 
 
 def make_algo_config(algo: str, n_timesteps: int, hyperparams: dict | None = None):

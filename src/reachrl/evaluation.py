@@ -399,7 +399,7 @@ def evaluate_experiment(
 def _load_seed_policy(workspace: Path, exp_id: int, k: int) -> PolicyArtifact:
     """The trained policy of seed run k."""
     path = seed_dir(workspace, exp_id, k) / "policy.json"
-    return policy_from_json(path.read_text(encoding="utf-8"))
+    return policy_from_json(path.read_text(encoding="utf-8"), str(path))
 
 
 def _completed_seeds(workspace: Path, exp_id: int) -> list[int]:

@@ -5,14 +5,18 @@ output), the Adam optimizer, and a diagonal-Gaussian policy head with a
 state-independent, learnable log standard deviation.  Everything runs in
 float64 so gradient checks and determinism stay crisp.
 
-Forward passes never mutate parameters; training mutates a locally-owned
-copy, so read-only inference may be shared across threads.
+Each optimiser group is one flat vector that ``pack`` makes its nets' (and
+a Gaussian head's) arrays views into; gradients, Adam moments and target
+nets share its layout, so optimiser steps are whole-vector operations.  A
+trainer updates its group vectors in place, forward passes never mutate
+parameters or their input, and ``Mlp.copy`` gives an artifact its own net.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,121 +28,146 @@ LOG_STD_MAX = 2.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@dataclass
+def _segment_sizes(layer_shapes) -> list[int]:
+    """Sizes of W_0, ..., W_last, b_0, ..., b_last: the layout of ``Mlp.params``."""
+    return [i * o for i, o in layer_shapes] + [o for _, o in layer_shapes]
+
+
 class Mlp:
-    """Fully-connected net; weight k has shape (in_k, out_k), row-major."""
+    """Fully-connected net; weight k has shape (in_k, out_k), row-major.
 
-    layer_shapes: list[tuple[int, int]]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    ``params`` is one float64 vector holding every weight, then every bias,
+    each in C order; ``weights`` and ``biases`` are views into it.
+    """
 
-    def __post_init__(self):
-        for (i, o), w, b in zip(self.layer_shapes, self.weights, self.biases):
-            if w.shape != (i, o) or b.shape != (o,):
-                raise ValidationError(
-                    f"parameter shapes {w.shape}/{b.shape} do not match layer ({i}, {o})"
-                )
-        for (_, o1), (i2, _) in zip(self.layer_shapes, self.layer_shapes[1:]):
-            if o1 != i2:
-                raise ValidationError(f"layer shapes do not chain: {self.layer_shapes}")
+    def __init__(self, layer_shapes, params: np.ndarray):
+        self.layer_shapes = shapes = [tuple(s) for s in layer_shapes]
+        if not shapes or any(o1 != i2 for (_, o1), (i2, _) in zip(shapes, shapes[1:])):
+            raise ValidationError(f"layer shapes do not chain: {shapes}")
+        self.in_dim, self.out_dim = shapes[0][0], shapes[-1][1]
+        sizes = _segment_sizes(shapes)
+        shapes = shapes + [(o,) for _, o in shapes]
+        self._layout = [(e - n, e, s) for e, n, s in zip(accumulate(sizes), sizes, shapes)]
+        self.bind(params)
 
-    @property
-    def in_dim(self) -> int:
-        return self.layer_shapes[0][0]
+    def bind(self, params: np.ndarray) -> None:
+        """Make ``params`` the net's storage, without copying it."""
+        if params.shape != (self._layout[-1][1],):
+            raise ValidationError(f"{params.shape} parameters for layers {self.layer_shapes}")
+        self.params = params
+        self.weights, self.biases = self.views(params)
 
-    @property
-    def out_dim(self) -> int:
-        return self.layer_shapes[-1][1]
+    def views(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(weights, biases) as views into ``vector``, laid out like ``params``."""
+        n = len(self.layer_shapes)
+        weights = [vector[start:end].reshape(shape) for start, end, shape in self._layout[:n]]
+        return weights, [vector[start:end] for start, end, _ in self._layout[n:]]
 
-    def params(self) -> list[np.ndarray]:
-        return list(self.weights) + list(self.biases)
+    def copy(self) -> Mlp:
+        """The same net over its own copy of the parameters."""
+        return Mlp(self.layer_shapes, self.params.copy())
+
+
+def pack(members: list) -> np.ndarray:
+    """A new vector holding the members' parameters in order; each member (an
+    ``Mlp`` or a ``GaussianHead``) is rebound to its slice of it."""
+    vector = np.concatenate([m.params for m in members])
+    start = 0
+    for m in members:
+        m.bind(vector[start : start + m.params.size])
+        start += m.params.size
+    return vector
 
 
 def mlp_init(sizes: list[int], rng: np.random.Generator) -> Mlp:
     """Glorot-uniform initialised MLP for the given layer sizes."""
-    weights, biases, shapes = [], [], []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
+    shapes = list(zip(sizes, sizes[1:]))
+    net = Mlp(shapes, np.zeros(sum(_segment_sizes(shapes))))
+    for w, (fan_in, fan_out) in zip(net.weights, shapes):
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-        shapes.append((fan_in, fan_out))
-    return Mlp(layer_shapes=shapes, weights=weights, biases=biases)
+        w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return net
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
+    """``x`` as a (rows, dim) batch; a 1-D input is one row."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise ValidationError(f"{what} length {x.shape[0]} != expected {dim}")
-        return x[None, :], True
+    if x.ndim == 1 and x.shape[0] == dim:
+        return x[None, :]
     if x.ndim == 2 and x.shape[1] == dim:
-        return x, False
-    raise ValidationError(f"{what} shape {x.shape} incompatible with dimension {dim}")
+        return x
+    raise ValidationError(f"input shape {x.shape} incompatible with dimension {dim}")
 
 
 def mlp_forward_cached(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass returning the output and all post-activation layers."""
-    h, _ = _as_batch(x, net.in_dim, "input")
-    cache = [h]
-    last = len(net.weights) - 1
+    """Forward pass returning the output and the cache [input batch, each
+    layer's post-activation output]."""
+    h = _as_batch(x, net.in_dim)
+    cache, last = [h], len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if k != last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         cache.append(h)
     return h, cache
 
 
 def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Affine + tanh composition; identity on the output layer."""
-    _, squeeze = _as_batch(x, net.in_dim, "input")
     out, _ = mlp_forward_cached(net, x)
-    return out[0] if squeeze else out
+    return out[0] if np.ndim(x) == 1 else out
 
 
 def mlp_backward_cached(
-    net: Mlp, cache: list[np.ndarray], output_grad: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Backprop through a cached forward pass.
+    net: Mlp, cache: list[np.ndarray], output_grad: np.ndarray,
+    grads: np.ndarray | None = None, input_grad: bool = True,
+) -> np.ndarray | None:
+    """Backprop through a cached forward pass, which it consumes: it
+    overwrites the cache's hidden activations, never its input or output.
 
     ``output_grad`` is d(scalar loss)/d(output), summed over the batch by the
-    caller's convention.  Returns (weight_grads, bias_grads, input_grad).
+    caller's convention.  Parameter gradients go into ``grads`` (laid out like
+    ``net.params``) unless it is None; returns the input gradient, or None.
     """
     g = np.asarray(output_grad, dtype=float)
     if g.ndim == 1:
         g = g[None, :]
     if g.shape != cache[-1].shape:
-        raise ValidationError(
-            f"output_grad shape {g.shape} != forward output shape {cache[-1].shape}"
-        )
-    n_layers = len(net.weights)
-    weight_grads: list[np.ndarray] = [None] * n_layers
-    bias_grads: list[np.ndarray] = [None] * n_layers
-    for k in range(n_layers - 1, -1, -1):
-        if k != n_layers - 1:
-            g = g * (1.0 - cache[k + 1] ** 2)  # tanh'
-        weight_grads[k] = cache[k].T @ g
-        bias_grads[k] = g.sum(axis=0)
-        g = g @ net.weights[k].T
-    return weight_grads, bias_grads, g
+        raise ValidationError(f"output_grad shape {g.shape} != output shape {cache[-1].shape}")
+    if grads is not None:
+        weight_grads, bias_grads = net.views(grads)
+    last = len(net.weights) - 1
+    for k in range(last, -1, -1):
+        if k != last:  # g * tanh', with tanh' = 1 - h**2 computed in h's buffer
+            h = cache[k + 1]
+            np.multiply(h, h, out=h)
+            np.subtract(1.0, h, out=h)
+            g = np.multiply(g, h, out=h)
+        if grads is not None:
+            np.matmul(cache[k].T, g, out=weight_grads[k])
+            np.add.reduce(g, axis=0, out=bias_grads[k])
+        if k or input_grad:
+            g = g @ net.weights[k].T
+    return g if input_grad else None
 
 
 def mlp_backward(
     net: Mlp, x: np.ndarray, output_grad: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Exact gradients of output . output_grad w.r.t. parameters and input."""
-    _, squeeze = _as_batch(x, net.in_dim, "input")
-    _, cache = mlp_forward_cached(net, x)
-    wg, bg, gin = mlp_backward_cached(net, cache, output_grad)
-    return wg, bg, (gin[0] if squeeze else gin)
+    """Exact gradients of output . output_grad w.r.t. parameters and input:
+    (weight_grads, bias_grads, input_grad)."""
+    grads = np.empty_like(net.params)
+    gin = mlp_backward_cached(net, mlp_forward_cached(net, x)[1], output_grad, grads)
+    return (*net.views(grads), gin[0] if np.ndim(x) == 1 else gin)
 
 
 @dataclass
 class AdamState:
-    """Adam moments for one parameter list, plus the shared hyperparameters."""
+    """Adam moments for one parameter vector, plus the shared hyperparameters."""
 
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
     lr: float = 3e-4
     beta1: float = 0.9
@@ -146,49 +175,37 @@ class AdamState:
     eps: float = 1e-8
 
 
-def adam_init(params: list[np.ndarray], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        first_moment=[np.zeros_like(p) for p in params],
-        second_moment=[np.zeros_like(p) for p in params],
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+def adam_init(params: np.ndarray, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+    return AdamState(np.zeros_like(params), np.zeros_like(params), 0, lr, beta1, beta2, eps)
 
 
-def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """One Adam update with bias correction; params are updated in place."""
-    if len(params) != len(grads):
-        raise ValidationError(f"{len(params)} params but {len(grads)} grads")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient in Adam step")
+    if params.shape != grads.shape:
+        raise ValidationError(f"params shape {params.shape} but grads shape {grads.shape}")
+    if not np.isfinite(grads).all():
+        raise NumericError("non-finite gradient in Adam step")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params, state
+    m, v = state.first_moment, state.second_moment
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grads * grads
+    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
-def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale grads in place so the global L2 norm is at most max_norm.
-
-    Returns the pre-clip norm.
-    """
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+def clip_grad_norm(grads: np.ndarray, max_norm: float, sizes: list[int]) -> float:
+    """Scale grads in place so the global L2 norm is at most max_norm; returns
+    the pre-clip norm.  Squares are summed within each consecutive segment of
+    ``sizes``, then across segments: the rounding of an array-by-array norm."""
+    squares = grads * grads
+    ends = list(accumulate(sizes))
+    total = math.sqrt(sum(float(np.add.reduce(squares[e - n : e])) for e, n in zip(ends, sizes)))
     if total > max_norm:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
+        grads *= max_norm / total
     return total
 
 
@@ -197,6 +214,13 @@ class GaussianHead:
     """State-independent log standard deviations, clamped to a safe range."""
 
     log_std: np.ndarray
+
+    @property
+    def params(self) -> np.ndarray:
+        return self.log_std
+
+    def bind(self, params: np.ndarray) -> None:
+        self.log_std = params
 
     def clamp(self) -> None:
         np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
@@ -242,9 +266,10 @@ def mlp_to_dict(net: Mlp) -> dict:
 
 
 def mlp_from_dict(doc: dict) -> Mlp:
-    shapes = [tuple(s) for s in doc["layer_shapes"]]
-    weights = [
-        np.asarray(w, dtype=float).reshape(shape) for w, shape in zip(doc["weights"], shapes)
-    ]
-    biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-    return Mlp(layer_shapes=shapes, weights=weights, biases=biases)
+    """The net ``mlp_to_dict`` wrote; arrays that do not fit the layers raise
+    ValidationError."""
+    shapes = [(int(i), int(o)) for i, o in doc["layer_shapes"]]
+    arrays = [np.asarray(a, dtype=float).reshape(-1) for a in [*doc["weights"], *doc["biases"]]]
+    if not shapes or [a.size for a in arrays] != _segment_sizes(shapes):
+        raise ValidationError(f"arrays of sizes {[a.size for a in arrays]} for layers {shapes}")
+    return Mlp(shapes, np.concatenate(arrays))

@@ -2,14 +2,13 @@
 
 On-policy trainer over the reach-env interface.  The Gaussian policy uses a
 state-independent learnable log standard deviation; policy net, log_std and
-value net share a single Adam optimizer, and the global gradient norm is
-clipped before every step.  Rollouts are consecutive slices of one
+value net are one parameter vector under a single Adam optimizer, and the
+global gradient norm is clipped before every step.  Rollouts are consecutive slices of one
 ``envs.run_episodes`` stream per ``train`` call; an episode may span two.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from itertools import islice
 
@@ -31,6 +30,7 @@ from .nets import (
     mlp_forward,
     mlp_forward_cached,
     mlp_init,
+    pack,
 )
 
 HIDDEN_SIZES = (64, 64)
@@ -128,10 +128,10 @@ def ppo_loss_and_grads(
     advantages: np.ndarray,
     returns: np.ndarray,
     config: PpoConfig,
-) -> tuple[PpoUpdateReport, list[np.ndarray]]:
+) -> tuple[PpoUpdateReport, np.ndarray]:
     """Losses and exact gradients for one minibatch (advantages pre-normalised).
 
-    The gradient list is ordered like [policy params..., log_std, value params...].
+    The gradient vector is laid out like the group: policy, log_std, value net.
     """
     n = len(observations)
     eps = config.clip_range
@@ -152,41 +152,44 @@ def ppo_loss_and_grads(
     d_log_prob = np.where(active, -ratio * advantages, 0.0) / n
     z = (actions - mean) / std
     mean_grad = d_log_prob[:, None] * (z / std)
-    log_std_grad = (d_log_prob[:, None] * (z**2 - 1.0)).sum(axis=0)
-    log_std_grad -= config.ent_coef  # d(-ent_coef * entropy)/d log_std = -ent_coef
-    pw, pb, _ = mlp_backward_cached(policy, policy_cache, mean_grad)
+    p, a = policy.params.size, head.log_std.size
+    grads = np.empty(p + a + value_net.params.size)
+    np.add.reduce(d_log_prob[:, None] * (z**2 - 1.0), axis=0, out=grads[p : p + a])
+    grads[p : p + a] -= config.ent_coef  # d(-ent_coef * entropy)/d log_std = -ent_coef
+    mlp_backward_cached(policy, policy_cache, mean_grad, grads[:p], input_grad=False)
 
     v, value_cache = mlp_forward_cached(value_net, observations)
     v = v[:, 0]
     value_loss = float(np.mean((v - returns) ** 2))
     v_grad = (config.vf_coef * 2.0 * (v - returns) / n)[:, None]
-    vw, vb, _ = mlp_backward_cached(value_net, value_cache, v_grad)
+    mlp_backward_cached(value_net, value_cache, v_grad, grads[p + a :], input_grad=False)
 
     total = policy_loss + config.vf_coef * value_loss - config.ent_coef * entropy
     if not np.isfinite(total):
         raise NumericError(f"non-finite PPO loss: {total}")
 
-    grads = pw + pb + [log_std_grad] + vw + vb
-    report = PpoUpdateReport(policy_loss, value_loss, entropy, clip_fraction)
-    return report, grads
+    return PpoUpdateReport(policy_loss, value_loss, entropy, clip_fraction), grads
 
 
 def ppo_update(
     policy: Mlp,
     head: GaussianHead,
     value_net: Mlp,
+    params: np.ndarray,
     batch: RolloutBatch,
     config: PpoConfig,
     adam,
     rng: np.random.Generator,
 ) -> PpoUpdateReport:
-    """Run n_epochs of shuffled minibatch updates on one rollout batch."""
+    """Run n_epochs of shuffled minibatch updates on one rollout batch;
+    ``params`` is the group vector the three parts are views into."""
     advantages, returns = compute_gae(
         batch.rewards, batch.values, batch.next_value, batch.dones,
         config.gamma, config.gae_lambda,
     )
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-    params = policy.params() + [head.log_std] + value_net.params()
+    parts = (*policy.weights, *policy.biases, head.log_std, *value_net.weights, *value_net.biases)
+    sizes = [p.size for p in parts]  # clip_grad_norm sums squares array by array
     n = len(batch.rewards)
     reports = []
     for _ in range(config.n_epochs):
@@ -199,7 +202,7 @@ def ppo_update(
                 batch.log_probs[idx], advantages[idx], returns[idx],
                 config,
             )
-            clip_grad_norm(grads, config.max_grad_norm)
+            clip_grad_norm(grads, config.max_grad_norm, sizes)
             adam_step(params, grads, adam)
             head.clamp()
             reports.append(report)
@@ -224,13 +227,13 @@ class PpoTrainer:
         self.value_net = mlp_init([obs_dim, *HIDDEN_SIZES, 1], net_rng)
         self.head = GaussianHead(np.zeros(act_dim))
         self.sampler = np.random.default_rng(seed + NOISE_SEED_OFFSET)
-        params = self.policy.params() + [self.head.log_std] + self.value_net.params()
-        self.adam = adam_init(params, config.lr)
+        self.params = pack([self.policy, self.head, self.value_net])
+        self.adam = adam_init(self.params, config.lr)
 
     def artifact(self):
         """The current policy, as a copy that later updates leave alone."""
         return PolicyArtifact(
-            kind="gaussian", net=copy.deepcopy(self.policy), log_std=self.head.log_std.copy(),
+            kind="gaussian", net=self.policy.copy(), log_std=self.head.log_std.copy(),
             n_actions=self.env.config.n_joints,
         )
 
@@ -290,6 +293,7 @@ class PpoTrainer:
             batch = self.collect_rollout(steps, n_steps, on_step)
             if batch is None:
                 return
-            ppo_update(self.policy, self.head, self.value_net, batch, cfg, self.adam, self.sampler)
+            ppo_update(self.policy, self.head, self.value_net, self.params, batch, cfg,
+                       self.adam, self.sampler)
             if not on_step(start + n_steps):
                 return

@@ -10,7 +10,6 @@ and the buffer keeps no done flag (Pardo et al., ICML 2018).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .nets import (
     mlp_forward,
     mlp_forward_cached,
     mlp_init,
+    pack,
 )
 from .ppo import HIDDEN_SIZES
 
@@ -81,45 +81,44 @@ class ReplayBuffer:
     def sample(self, batch_size: int, rng: np.random.Generator) -> dict:
         idx = rng.integers(0, self.size, size=batch_size)
         return {
-            "observations": self.observations[idx],
-            "actions": self.actions[idx],
-            "rewards": self.rewards[idx],
-            "next_observations": self.next_observations[idx],
+            "observations": self.observations.take(idx, axis=0),
+            "actions": self.actions.take(idx, axis=0),
+            "rewards": self.rewards.take(idx),
+            "next_observations": self.next_observations.take(idx, axis=0),
         }
 
 
 @dataclass
 class Td3Nets:
+    """Online and target nets.  The actor and the twin ``critics`` are one
+    optimiser group each, and each has a target vector the target nets view."""
+
     actor: Mlp
     critic1: Mlp
     critic2: Mlp
+    critics: np.ndarray
     actor_target: Mlp
     critic1_target: Mlp
     critic2_target: Mlp
+    critics_target: np.ndarray
 
 
 def make_td3_nets(obs_dim: int, act_dim: int, rng: np.random.Generator) -> Td3Nets:
     actor = mlp_init([obs_dim, *HIDDEN_SIZES, act_dim], rng)
     critic1 = mlp_init([obs_dim + act_dim, *HIDDEN_SIZES, 1], rng)
     critic2 = mlp_init([obs_dim + act_dim, *HIDDEN_SIZES, 1], rng)
-    return Td3Nets(
-        actor=actor,
-        critic1=critic1,
-        critic2=critic2,
-        actor_target=copy.deepcopy(actor),
-        critic1_target=copy.deepcopy(critic1),
-        critic2_target=copy.deepcopy(critic2),
-    )
+    critics = pack([critic1, critic2])
+    targets = [critic1.copy(), critic2.copy()]
+    return Td3Nets(actor, critic1, critic2, critics, actor.copy(), *targets, pack(targets))
 
 
 def actor_action(actor: Mlp, obs: np.ndarray) -> np.ndarray:
     return np.tanh(mlp_forward(actor, obs))
 
 
-def polyak_update(online: Mlp, target: Mlp, tau: float) -> None:
-    for src, dst in zip(online.params(), target.params()):
-        dst *= 1.0 - tau
-        dst += tau * src
+def polyak_update(online: np.ndarray, target: np.ndarray, tau: float) -> None:
+    target *= 1.0 - tau
+    target += tau * online
 
 
 @dataclass
@@ -162,17 +161,16 @@ def td3_update(
     target = batch["rewards"] + config.gamma * np.minimum(q1_t, q2_t)
 
     critic_in = np.concatenate([obs, batch["actions"]], axis=1)
-    q1, cache1 = mlp_forward_cached(nets.critic1, critic_in)
-    q2, cache2 = mlp_forward_cached(nets.critic2, critic_in)
-    q1, q2 = q1[:, 0], q2[:, 0]
-    loss1 = float(np.mean((q1 - target) ** 2))
-    loss2 = float(np.mean((q2 - target) ** 2))
-    if not np.isfinite(loss1 + loss2):
-        raise NumericError(f"non-finite critic loss: {loss1}, {loss2}")
-    w1, b1, _ = mlp_backward_cached(nets.critic1, cache1, (2.0 * (q1 - target) / n)[:, None])
-    w2, b2, _ = mlp_backward_cached(nets.critic2, cache2, (2.0 * (q2 - target) / n)[:, None])
-    critic_params = nets.critic1.params() + nets.critic2.params()
-    adam_step(critic_params, w1 + b1 + w2 + b2, critic_adam)
+    critic_grads, losses = np.empty_like(nets.critics), []
+    # The twin critics have one shape, so each gradient is one row of the halved vector.
+    for critic, grads in zip((nets.critic1, nets.critic2), critic_grads.reshape(2, -1)):
+        q, cache = mlp_forward_cached(critic, critic_in)
+        err = q[:, 0] - target
+        losses.append(float(np.mean(err**2)))
+        mlp_backward_cached(critic, cache, (2.0 * err / n)[:, None], grads, input_grad=False)
+    if not np.isfinite(sum(losses)):
+        raise NumericError(f"non-finite critic loss: {losses}")
+    adam_step(nets.critics, critic_grads, critic_adam)
 
     actor_loss = None
     if update_count % config.policy_delay == 0:
@@ -181,17 +179,15 @@ def td3_update(
         q_in = np.concatenate([obs, action], axis=1)
         q_val, q_cache = mlp_forward_cached(nets.critic1, q_in)
         actor_loss = -float(np.mean(q_val))
-        _, _, input_grad = mlp_backward_cached(
-            nets.critic1, q_cache, np.full((n, 1), -1.0 / n)
-        )
+        input_grad = mlp_backward_cached(nets.critic1, q_cache, np.full((n, 1), -1.0 / n))
         action_grad = input_grad[:, obs.shape[1]:] * (1.0 - action**2)
-        aw, ab, _ = mlp_backward_cached(nets.actor, actor_cache, action_grad)
-        adam_step(nets.actor.params(), aw + ab, actor_adam)
-        polyak_update(nets.actor, nets.actor_target, config.tau)
-        polyak_update(nets.critic1, nets.critic1_target, config.tau)
-        polyak_update(nets.critic2, nets.critic2_target, config.tau)
+        actor_grads = np.empty_like(nets.actor.params)
+        mlp_backward_cached(nets.actor, actor_cache, action_grad, actor_grads, input_grad=False)
+        adam_step(nets.actor.params, actor_grads, actor_adam)
+        polyak_update(nets.actor.params, nets.actor_target.params, config.tau)
+        polyak_update(nets.critics, nets.critics_target, config.tau)
 
-    return Td3UpdateReport(critic_loss=loss1 + loss2, actor_loss=actor_loss)
+    return Td3UpdateReport(critic_loss=sum(losses), actor_loss=actor_loss)
 
 
 class Td3Trainer:
@@ -206,17 +202,15 @@ class Td3Trainer:
         self.nets = make_td3_nets(obs_dim, act_dim, net_rng)
         self.noise_rng = np.random.default_rng(seed + NOISE_SEED_OFFSET)
         self.buffer = ReplayBuffer(config.buffer_size, obs_dim, act_dim)
-        self.critic_adam = adam_init(
-            self.nets.critic1.params() + self.nets.critic2.params(), config.lr
-        )
-        self.actor_adam = adam_init(self.nets.actor.params(), config.lr)
+        self.critic_adam = adam_init(self.nets.critics, config.lr)
+        self.actor_adam = adam_init(self.nets.actor.params, config.lr)
         self.global_step = 0
         self.update_count = 0
 
     def artifact(self):
         """The current actor, as a copy that later updates leave alone."""
         return PolicyArtifact(
-            kind="tanh", net=copy.deepcopy(self.nets.actor), log_std=None,
+            kind="tanh", net=self.nets.actor.copy(), log_std=None,
             n_actions=self.env.config.n_joints,
         )
 

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 
 import numpy as np
@@ -25,7 +26,9 @@ from reachrl.ppo import (
     compute_gae,
     ppo_loss_and_grads,
 )
-from reachrl.td3 import ReplayBuffer, Td3Config, Td3Trainer, make_td3_nets, td3_update
+from reachrl.td3 import (
+    ReplayBuffer, Td3Config, Td3Trainer, make_td3_nets, polyak_update, td3_update,
+)
 from reachrl.nets import adam_init
 
 
@@ -158,9 +161,8 @@ def test_ppo_clipped_branch_kills_policy_gradient():
         policy, head, value_net, obs, actions, old_lp,
         np.array([2.0]), np.array([0.0]), PpoConfig(clip_range=0.2),
     )
-    n_policy = len(policy.weights) + len(policy.biases)
-    for g in grads[: n_policy + 1]:  # policy params plus log_std
-        np.testing.assert_array_equal(g, np.zeros_like(g))
+    n_policy = policy.params.size + head.log_std.size  # policy params plus log_std
+    np.testing.assert_array_equal(grads[:n_policy], np.zeros(n_policy))
     assert report.clip_fraction == 1.0
 
 
@@ -212,8 +214,8 @@ def test_ppo_gradient_norm_clipped():
         trainer.policy, trainer.head, trainer.value_net,
         batch.observations, batch.actions, batch.log_probs, adv, rets, config,
     )
-    clip_grad_norm(grads, config.max_grad_norm)
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    clip_grad_norm(grads, config.max_grad_norm, [grads.size])
+    norm = math.sqrt(float(np.sum(grads * grads)))
     assert norm <= config.max_grad_norm + 1e-12
 
 
@@ -266,8 +268,8 @@ def test_td3_tau_one_copies_online_to_target():
     nets = make_td3_nets(3, 2, np.random.default_rng(0))
     config = Td3Config(tau=1.0, policy_delay=1, batch_size=32, learning_starts=0, buffer_size=1000)
     buffer = scripted_buffer(3, 2)
-    critic_adam = adam_init(nets.critic1.params() + nets.critic2.params(), config.lr)
-    actor_adam = adam_init(nets.actor.params(), config.lr)
+    critic_adam = adam_init(nets.critics, config.lr)
+    actor_adam = adam_init(nets.actor.params, config.lr)
     td3_update(nets, buffer, config, step=10, rng=np.random.default_rng(1),
                update_count=1, critic_adam=critic_adam, actor_adam=actor_adam)
     for online, target in [
@@ -275,8 +277,7 @@ def test_td3_tau_one_copies_online_to_target():
         (nets.critic1, nets.critic1_target),
         (nets.critic2, nets.critic2_target),
     ]:
-        for a, b in zip(online.params(), target.params()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(online.params, target.params)
 
 
 def test_td3_gamma_zero_target_is_reward():
@@ -290,8 +291,8 @@ def test_td3_gamma_zero_target_is_reward():
     q2 = mlp_forward(nets.critic2, critic_in)[:, 0]
     y = buffer.rewards[idx]
     expected = float(np.mean((q1 - y) ** 2) + np.mean((q2 - y) ** 2))
-    critic_adam = adam_init(nets.critic1.params() + nets.critic2.params(), config.lr)
-    actor_adam = adam_init(nets.actor.params(), config.lr)
+    critic_adam = adam_init(nets.critics, config.lr)
+    actor_adam = adam_init(nets.actor.params, config.lr)
     report = td3_update(nets, buffer, config, step=10, rng=np.random.default_rng(7),
                         update_count=1, critic_adam=critic_adam, actor_adam=actor_adam)
     assert report.critic_loss == pytest.approx(expected, abs=1e-12)
@@ -323,8 +324,8 @@ def test_td3_horizon_transition_bootstraps():
     target = result.reward + config.gamma * q_next
     critic_in = np.concatenate([obs, action])[None]
     expected = sum((mlp_forward(critic, critic_in)[0, 0] - target) ** 2 for critic in (nets.critic1, nets.critic2))
-    critic_adam = adam_init(nets.critic1.params() + nets.critic2.params(), config.lr)
-    actor_adam = adam_init(nets.actor.params(), config.lr)
+    critic_adam = adam_init(nets.critics, config.lr)
+    actor_adam = adam_init(nets.actor.params, config.lr)
     report = td3_update(nets, buffer, config, step=10, rng=np.random.default_rng(7),
                         update_count=1, critic_adam=critic_adam, actor_adam=actor_adam)
     assert report.critic_loss == pytest.approx(expected, rel=1e-12)
@@ -334,8 +335,8 @@ def test_td3_underfull_buffer_rejected():
     nets = make_td3_nets(3, 2, np.random.default_rng(4))
     config = Td3Config(batch_size=64, learning_starts=0, buffer_size=1000)
     buffer = scripted_buffer(3, 2, n=10)
-    critic_adam = adam_init(nets.critic1.params() + nets.critic2.params(), config.lr)
-    actor_adam = adam_init(nets.actor.params(), config.lr)
+    critic_adam = adam_init(nets.critics, config.lr)
+    actor_adam = adam_init(nets.actor.params, config.lr)
     with pytest.raises(ValidationError):
         td3_update(nets, buffer, config, step=10, rng=np.random.default_rng(0),
                    update_count=1, critic_adam=critic_adam, actor_adam=actor_adam)
@@ -347,8 +348,8 @@ def test_td3_updates_deterministic():
         config = Td3Config(batch_size=32, learning_starts=0, buffer_size=1000)
         buffer = scripted_buffer(3, 2, seed=6)
         rng = np.random.default_rng(8)
-        critic_adam = adam_init(nets.critic1.params() + nets.critic2.params(), config.lr)
-        actor_adam = adam_init(nets.actor.params(), config.lr)
+        critic_adam = adam_init(nets.critics, config.lr)
+        actor_adam = adam_init(nets.actor.params, config.lr)
         losses = []
         for u in range(1, 11):
             report = td3_update(nets, buffer, config, step=100, rng=rng,
@@ -357,6 +358,36 @@ def test_td3_updates_deterministic():
         return losses
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.005])
+def test_polyak_on_a_group_vector_is_bitwise_the_per_array_average(tau):
+    nets = make_td3_nets(3, 2, np.random.default_rng(9))
+    nets.critics += np.random.default_rng(10).normal(size=nets.critics.shape)
+    def arrays(*critics):
+        return [a.copy() for c in critics for a in (*c.weights, *c.biases)]
+
+    online = arrays(nets.critic1, nets.critic2)
+    target = arrays(nets.critic1_target, nets.critic2_target)
+    for src, dst in zip(online, target):
+        dst *= 1.0 - tau
+        dst += tau * src
+    polyak_update(nets.critics, nets.critics_target, tau)
+    assert np.array_equal(nets.critics_target, np.concatenate([a.ravel() for a in target]))
+    if tau == 1.0:
+        assert np.array_equal(nets.critics_target, nets.critics)
+
+
+def test_td3_groups_are_views_and_targets_start_as_copies():
+    nets = make_td3_nets(3, 2, np.random.default_rng(11))
+    split = nets.critic1.params.size
+    assert np.shares_memory(nets.critic1.weights[0], nets.critics[:split])
+    assert np.shares_memory(nets.critic2.biases[-1], nets.critics[split:])
+    assert np.shares_memory(nets.critic2_target.weights[0], nets.critics_target)
+    assert np.array_equal(nets.critics_target, nets.critics)
+    assert np.array_equal(nets.actor_target.params, nets.actor.params)
+    assert not np.shares_memory(nets.critics_target, nets.critics)
+    assert not np.shares_memory(nets.actor_target.params, nets.actor.params)
 
 
 # ---------------------------------------------------------------- train()
@@ -422,6 +453,28 @@ def test_random_policy_artifact():
     noise = restored.draw_noise(False, np.random.default_rng(0), (2,))
     sampled = restored.act_with_noise(np.zeros(5), noise)
     assert sampled.shape == (2,) and np.all(np.abs(sampled) <= 1.0)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc.update(log_std=doc["log_std"][:1]),  # log_std not one per action
+    lambda doc: doc.update(log_std=[]),
+    lambda doc: doc["weights"].pop(),
+    lambda doc: doc["weights"][1].append(0.5),
+    lambda doc: doc.update(kind="beta"),
+    lambda doc: doc.pop("biases"),
+])
+def test_policy_from_json_rejects_a_tampered_policy(tamper):
+    net = mlp_init([5, 4, 2], np.random.default_rng(0))
+    artifact = PolicyArtifact("gaussian", net=net, log_std=np.zeros(2), n_actions=2)
+    doc = json.loads(policy_to_json(artifact))
+    tamper(doc)
+    with pytest.raises(ValidationError):
+        policy_from_json(json.dumps(doc))
+
+
+def test_policy_from_json_rejects_text_that_is_not_json():
+    with pytest.raises(ValidationError):
+        policy_from_json('{"kind": "gaussian", "layer_')
 
 
 def test_make_algo_config_rejects_unknown_hyperparameter():

@@ -31,11 +31,7 @@ from reachrl.nets import Mlp, gaussian_sample, mlp_forward, mlp_init
 
 def still_policy(n_obs, n_act):
     """Gaussian policy with zero weights: deterministic action is all zeros."""
-    net = Mlp(
-        layer_shapes=[(n_obs, n_act)],
-        weights=[np.zeros((n_obs, n_act))],
-        biases=[np.zeros(n_act)],
-    )
+    net = Mlp([(n_obs, n_act)], np.zeros(n_obs * n_act + n_act))
     return PolicyArtifact(kind="gaussian", net=net, log_std=np.zeros(n_act), n_actions=n_act)
 
 
@@ -249,11 +245,7 @@ def test_log_episode_is_evaluate_policy_episode(env_id):
 
 def test_log_episode_internal_consistency():
     rng = np.random.default_rng(5)
-    net = Mlp(
-        layer_shapes=[(5, 2)],
-        weights=[rng.normal(size=(5, 2))],
-        biases=[rng.normal(size=2)],
-    )
+    net = Mlp([(5, 2)], np.concatenate([rng.normal(size=(5, 2)).ravel(), rng.normal(size=2)]))
     policy = PolicyArtifact(kind="gaussian", net=net, log_std=np.zeros(2), n_actions=2)
     log = log_episode(policy, "reach-planar-v1", seed=6)
     distances = np.linalg.norm(log.ee - log.goal, axis=1)

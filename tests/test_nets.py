@@ -14,10 +14,13 @@ from reachrl.nets import (
     gaussian_log_prob,
     gaussian_sample,
     mlp_backward,
+    mlp_backward_cached,
     mlp_forward,
+    mlp_forward_cached,
     mlp_from_dict,
     mlp_init,
     mlp_to_dict,
+    pack,
 )
 
 
@@ -37,21 +40,13 @@ def forward_oracle(net, x):
     return np.array(h)
 
 
-def flat_params(net):
-    return net.weights + net.biases
-
-
 def test_forward_zero_net_outputs_zero():
-    net = Mlp(
-        layer_shapes=[(3, 4), (4, 2)],
-        weights=[np.zeros((3, 4)), np.zeros((4, 2))],
-        biases=[np.zeros(4), np.zeros(2)],
-    )
+    net = Mlp([(3, 4), (4, 2)], np.zeros(3 * 4 + 4 * 2 + 4 + 2))
     np.testing.assert_array_equal(mlp_forward(net, np.array([1.0, -2.0, 3.0])), np.zeros(2))
 
 
 def test_forward_identity_single_layer():
-    net = Mlp(layer_shapes=[(3, 3)], weights=[np.eye(3)], biases=[np.zeros(3)])
+    net = Mlp([(3, 3)], np.concatenate([np.eye(3).ravel(), np.zeros(3)]))
     x = np.array([0.5, -0.25, 2.0])
     np.testing.assert_array_equal(mlp_forward(net, x), x)
 
@@ -77,10 +72,9 @@ def test_forward_batched_matches_vector_calls():
 def test_forward_does_not_mutate_parameters():
     rng = np.random.default_rng(2)
     net = mlp_init([3, 5, 2], rng)
-    snapshot = [p.copy() for p in flat_params(net)]
+    snapshot = net.params.copy()
     mlp_forward(net, rng.normal(size=3))
-    for before, after in zip(snapshot, flat_params(net)):
-        np.testing.assert_array_equal(before, after)
+    np.testing.assert_array_equal(snapshot, net.params)
 
 
 def test_forward_rejects_wrong_dimension():
@@ -99,7 +93,7 @@ def test_backward_zero_output_grad():
 
 def test_backward_scalar_chain_rule():
     # y = w x with identity output; grad_w = x * output_grad
-    net = Mlp(layer_shapes=[(1, 1)], weights=[np.array([[0.7]])], biases=[np.zeros(1)])
+    net = Mlp([(1, 1)], np.array([0.7, 0.0]))
     wg, bg, gin = mlp_backward(net, np.array([2.0]), np.array([3.0]))
     assert wg[0][0, 0] == pytest.approx(6.0, abs=0)
     assert bg[0][0] == pytest.approx(3.0, abs=0)
@@ -111,21 +105,17 @@ def rel_error(a, b):
 
 
 def finite_difference_grads(net, x, output_grad, h=1e-5):
-    """Central differences of output . output_grad w.r.t. every parameter."""
-    grads = []
-    for p in flat_params(net):
-        grad = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            original = p[idx]
-            p[idx] = original + h
-            hi = float(mlp_forward(net, x) @ output_grad)
-            p[idx] = original - h
-            lo = float(mlp_forward(net, x) @ output_grad)
-            p[idx] = original
-            grad[idx] = (hi - lo) / (2 * h)
-        grads.append(grad)
+    """Central differences of output . output_grad w.r.t. every parameter,
+    laid out like ``net.params``."""
+    p = net.params
+    grads = np.zeros_like(p)
+    for i, original in enumerate(p.tolist()):
+        p[i] = original + h
+        hi = float(mlp_forward(net, x) @ output_grad)
+        p[i] = original - h
+        lo = float(mlp_forward(net, x) @ output_grad)
+        p[i] = original
+        grads[i] = (hi - lo) / (2 * h)
     return grads
 
 
@@ -141,8 +131,8 @@ def test_gradient_check_against_finite_differences():
         output_grad = rng.normal(size=sizes[-1])
         wg, bg, _ = mlp_backward(net, x, output_grad)
         numeric = finite_difference_grads(net, x, output_grad)
-        for analytic, approx in zip(wg + bg, numeric):
-            worst = max(worst, float(rel_error(analytic, approx).max()))
+        analytic = np.concatenate([g.ravel() for g in wg + bg])
+        worst = max(worst, float(rel_error(analytic, numeric).max()))
     assert worst < 1e-4
 
 
@@ -167,22 +157,20 @@ def test_backward_input_grad_finite_difference():
 def test_adam_zero_gradient_leaves_params():
     rng = np.random.default_rng(6)
     net = mlp_init([2, 3], rng)
-    params = flat_params(net)
-    snapshot = [p.copy() for p in params]
-    state = adam_init(params, lr=0.1)
-    adam_step(params, [np.zeros_like(p) for p in params], state)
+    snapshot = net.params.copy()
+    state = adam_init(net.params, lr=0.1)
+    adam_step(net.params, np.zeros_like(net.params), state)
     assert state.step_count == 1
-    for before, after in zip(snapshot, params):
-        np.testing.assert_array_equal(before, after)
+    np.testing.assert_array_equal(snapshot, net.params)
 
 
 def test_adam_first_step_moves_against_gradient():
-    params = [np.array([1.0, -1.0])]
-    grads = [np.array([0.5, -0.25])]
+    params = np.array([1.0, -1.0])
+    grads = np.array([0.5, -0.25])
     state = adam_init(params, lr=0.01)
     adam_step(params, grads, state)
-    assert params[0][0] < 1.0
-    assert params[0][1] > -1.0
+    assert params[0] < 1.0
+    assert params[1] > -1.0
 
 
 def adam_scalar_oracle(w0, lr, steps):
@@ -200,27 +188,27 @@ def adam_scalar_oracle(w0, lr, steps):
 
 
 def test_adam_minimises_quadratic():
-    params = [np.array([1.0])]
+    params = np.array([1.0])
     state = adam_init(params, lr=0.1)
     for _ in range(100):
-        adam_step(params, [2.0 * params[0]], state)
+        adam_step(params, 2.0 * params, state)
     expected = adam_scalar_oracle(1.0, 0.1, 100)
-    assert abs(params[0][0]) < 0.1
-    assert params[0][0] == pytest.approx(expected, abs=1e-12)
+    assert abs(params[0]) < 0.1
+    assert params[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_adam_rejects_non_finite_grads():
-    params = [np.zeros(2)]
+    params = np.zeros(2)
     state = adam_init(params, lr=0.1)
     with pytest.raises(NumericError):
-        adam_step(params, [np.array([np.inf, 0.0])], state)
+        adam_step(params, np.array([np.inf, 0.0]), state)
 
 
 def test_clip_grad_norm():
-    grads = [np.array([3.0, 4.0]), np.array([0.0])]
-    pre = clip_grad_norm(grads, 1.0)
+    grads = np.array([3.0, 4.0, 0.0])
+    pre = clip_grad_norm(grads, 1.0, [2, 1])
     assert pre == pytest.approx(5.0)
-    post = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    post = math.sqrt(float(np.sum(grads * grads)))
     assert post <= 1.0 + 1e-12
 
 
@@ -309,5 +297,149 @@ def test_mlp_dict_round_trip():
     net = mlp_init([4, 6, 2], rng)
     restored = mlp_from_dict(mlp_to_dict(net))
     assert restored.layer_shapes == net.layer_shapes
-    for a, b in zip(flat_params(net), flat_params(restored)):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(net.params, restored.params)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc["weights"].pop(),  # fewer weights than layers
+    lambda doc: doc["weights"][0].pop(),  # a weight of the wrong size
+    lambda doc: doc["biases"].append([0.0, 0.0]),  # a bias too many
+    lambda doc: doc["weights"][1].append(doc["weights"][0].pop()),  # right total, wrong split
+    lambda doc: doc.update(layer_shapes=[[3, 4], [5, 2]]),  # layers that do not chain
+    lambda doc: doc.update(layer_shapes=[]),
+])
+def test_mlp_from_dict_rejects_arrays_that_do_not_fit(tamper):
+    doc = mlp_to_dict(mlp_init([3, 4, 2], np.random.default_rng(0)))
+    tamper(doc)
+    with pytest.raises(ValidationError):
+        mlp_from_dict(doc)
+
+
+# ------------------------------------------- flat parameter vectors
+
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def ppo_shaped_group(rng, log_std, sizes=(3, 8)):
+    """A policy, Gaussian head and value net, as PPO's group holds them."""
+    policy, value_net = mlp_init([*sizes, 2], rng), mlp_init([*sizes, 1], rng)
+    return policy, GaussianHead(np.array(log_std, dtype=float)), value_net
+
+
+def group_arrays(policy, head, value_net):
+    """Copies of a PPO-shaped group's arrays, in the order ``pack`` lays them out."""
+    return [a.copy() for a in (*policy.weights, *policy.biases, head.log_std,
+                               *value_net.weights, *value_net.biases)]
+
+
+def test_pack_keeps_values_and_makes_views():
+    rng = np.random.default_rng(20)
+    policy, head, value_net = ppo_shaped_group(rng, [0.1, -0.2])
+    arrays = group_arrays(policy, head, value_net)
+    group = pack([policy, head, value_net])
+    assert np.array_equal(group, flat(arrays))
+    for net in (policy, value_net):
+        for part in (*net.weights, *net.biases):
+            assert np.shares_memory(part, group)
+    assert np.shares_memory(head.log_std, group)
+
+
+def test_writing_the_group_vector_moves_the_forward_output():
+    rng = np.random.default_rng(21)
+    policy, head, value_net = ppo_shaped_group(rng, [0.0, 0.0])
+    group = pack([policy, head, value_net])
+    x = rng.normal(size=3)
+    before = mlp_forward(value_net, x), mlp_forward(policy, x)
+    group[-1] += 1.0  # the value net's output bias
+    group[0] += 1.0  # the policy's first weight
+    group[policy.params.size] = 0.5  # log_std[0]
+    assert mlp_forward(value_net, x)[0] != before[0][0]
+    assert not np.array_equal(mlp_forward(policy, x), before[1])
+    assert head.log_std[0] == 0.5
+
+
+def test_forward_never_mutates_its_input_and_backward_spares_input_and_output():
+    rng = np.random.default_rng(22)
+    net = mlp_init([3, 8, 8, 2], rng)
+    x = rng.normal(size=(5, 3))
+    snapshot = x.copy()
+    mlp_forward(net, x)
+    mlp_forward(net, x[0])
+    out, cache = mlp_forward_cached(net, x)
+    out_before = out.copy()
+    mlp_backward_cached(net, cache, rng.normal(size=(5, 2)), np.empty_like(net.params))
+    np.testing.assert_array_equal(x, snapshot)
+    np.testing.assert_array_equal(cache[0], snapshot)
+    np.testing.assert_array_equal(cache[-1], out_before)
+
+
+def test_backward_cached_skips_what_the_caller_discards():
+    rng = np.random.default_rng(23)
+    net = mlp_init([4, 8, 8, 3], rng)
+    x, output_grad = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+    wg, bg, gin = mlp_backward(net, x, output_grad)
+    grads = np.empty_like(net.params)
+    _, cache = mlp_forward_cached(net, x)
+    assert mlp_backward_cached(net, cache, output_grad, grads, input_grad=False) is None
+    assert np.array_equal(grads, flat(wg + bg))
+    _, cache = mlp_forward_cached(net, x)
+    assert np.array_equal(mlp_backward_cached(net, cache, output_grad), gin)
+
+
+def test_copy_owns_its_parameters():
+    net = mlp_init([3, 4, 2], np.random.default_rng(24))
+    clone = net.copy()
+    assert np.array_equal(clone.params, net.params)
+    net.params += 1.0
+    assert not np.shares_memory(clone.params, net.params)
+    assert np.shares_memory(clone.weights[0], clone.params)
+    assert not np.array_equal(clone.params, net.params)
+
+
+def reference_adam_step(params, grads, first, second, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step over a list of arrays, array by array."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for p, g, m, v in zip(params, grads, first, second):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def test_adam_on_a_group_vector_is_bitwise_the_per_array_step():
+    rng = np.random.default_rng(25)
+    policy, head, value_net = ppo_shaped_group(rng, rng.normal(size=2), sizes=(5, 16, 16))
+    arrays = group_arrays(policy, head, value_net)
+    group = pack([policy, head, value_net])
+    first, second = [np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays]
+    state = adam_init(group, lr=1e-3)
+    for t in range(1, 9):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-4, 2), size=a.shape) for a in arrays]
+        reference_adam_step(arrays, grads, first, second, t, lr=1e-3)
+        adam_step(group, flat(grads), state)
+        assert np.array_equal(group, flat(arrays))
+    assert np.array_equal(state.first_moment, flat(first))
+    assert np.array_equal(state.second_moment, flat(second))
+
+
+@pytest.mark.parametrize("max_norm", [1e-3, 1e9])
+def test_clip_grad_norm_is_bitwise_the_per_array_norm(max_norm):
+    # Summing all squares at once rounds differently from summing array by
+    # array, and the difference survives the square root in about one draw
+    # in five, so one draw is not enough to tell the two apart.
+    rng = np.random.default_rng(26)
+    shapes = [(7, 64), (64, 64), (64, 2), (64,), (64,), (2,), (2,),
+              (7, 64), (64, 64), (64, 1), (64,), (64,), (1,)]
+    for _ in range(30):
+        arrays = [rng.normal(size=s) * 10.0 ** rng.uniform(-3, 3) for s in shapes]
+        vector = flat(arrays)
+        total = math.sqrt(sum(float(np.sum(g * g)) for g in arrays))
+        if total > max_norm:
+            scale = max_norm / total
+            for g in arrays:
+                g *= scale
+        assert clip_grad_norm(vector, max_norm, [a.size for a in arrays]) == total
+        assert np.array_equal(vector, flat(arrays))
