@@ -14,6 +14,8 @@ It then evaluates the PPO experiment with ``--log-episode``, once
 deterministically and once with ``--stochastic``, and prints its
 ``benchmark.csv`` row after each (without ``train_walltime_s``, which is a
 wall time) and the hashes of ``episode_eval.csv`` and ``episode_panels.svg``.
+Then it runs ``plot --exp-id 1`` and ``benchmark --exp-ids 1 --metric
+mean_return`` and prints the hashes of the figures and their data sidecars.
 
 Last, it runs one small PPO study on reach-v1 (6 trials x 256 steps, 2
 checkpoints) at ``--parallel 1`` and at ``--parallel 2``, and prints the
@@ -25,9 +27,7 @@ the in-process ``--parallel 1`` study runs as the spawned workers do.
 """
 
 import contextlib
-import csv
 import hashlib
-import io
 import os
 import sys
 import tempfile
@@ -36,6 +36,7 @@ from pathlib import Path
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from reachrl.cli import main as cli  # noqa: E402  (after pinning BLAS)
+from reachrl.evaluation import read_benchmark  # noqa: E402
 
 RUNS = (
     ("ppo", ["--algo", "ppo", "--env", "reach-planar-v1", "--n-timesteps", "4096",
@@ -71,12 +72,17 @@ def main() -> int:
         for mode, flags in EVALUATIONS:
             run_cli("ppo", ["evaluate", "--exp-id", "1", "--log-episode", *flags,
                             "--workspace", workspace])
-            row = next(csv.DictReader(io.StringIO(
-                (Path(workspace) / "benchmark.csv").read_text(encoding="utf-8"))))
+            row = read_benchmark(Path(workspace))[0]
             del row["train_walltime_s"]
-            print(f"ppo evaluate {mode} benchmark.csv {','.join(row.values())}")
+            print(f"ppo evaluate {mode} benchmark.csv {','.join(map(str, row.values()))}")
             for artifact in ("episode_eval.csv", "episode_panels.svg"):
                 print(f"ppo evaluate {mode} {artifact} {sha256(Path(workspace) / 'exp_1' / artifact)}")
+        for args, figure in ((["plot", "--exp-id", "1"], "exp_1/training_curves"),
+                             (["benchmark", "--exp-ids", "1", "--metric", "mean_return"],
+                              "figures/benchmark_mean_return")):
+            run_cli("ppo", [*args, "--workspace", workspace])
+            for suffix in (".data.csv", ".svg"):
+                print(f"ppo {args[0]} {figure}{suffix} {sha256(Path(workspace) / (figure + suffix))}")
         for study_id, parallel in enumerate((1, 2), start=1):
             run_cli("ppo", ["tune", *TUNE, "--parallel", str(parallel), "--workspace", workspace])
             study = Path(workspace) / "studies" / f"study_{study_id}"

@@ -32,7 +32,7 @@ EVAL_SEED_OFFSET = 3000
 
 SUPPORTED_ALGOS = ("ppo", "td3", "random")
 
-TRAINING_LOG_HEADER = "timestep,episode,episode_return,episode_final_distance_m"
+TRAINING_LOG_HEADER = ("timestep", "episode", "episode_return", "episode_final_distance_m")
 
 
 @dataclass
@@ -53,25 +53,22 @@ class TrainingLog:
         self.rows.append(LogRow(int(timestep), int(episode), float(episode_return), float(final_distance)))
 
 
+# The codec is imported on first use: list-envs loads this module, not csv.
 def training_log_to_csv(log: TrainingLog) -> str:
-    lines = [TRAINING_LOG_HEADER]
-    for r in log.rows:
-        lines.append(
-            f"{r.timestep},{r.episode},{r.episode_return!r},{r.episode_final_distance_m!r}"
-        )
-    return "\n".join(lines) + "\n"
+    from .ioutil import csv_text
+
+    return csv_text(
+        TRAINING_LOG_HEADER,
+        ((r.timestep, r.episode, r.episode_return, r.episode_final_distance_m) for r in log.rows),
+    )
 
 
-def training_log_from_csv(text: str) -> TrainingLog:
-    lines = text.strip("\n").split("\n")
-    if lines[0] != TRAINING_LOG_HEADER:
-        raise ValidationError(f"unexpected training log header: {lines[0]!r}")
+def training_log_from_csv(text: str, source: str = "training_log.csv") -> TrainingLog:
+    from .ioutil import csv_rows
+
     log = TrainingLog()
-    for line in lines[1:]:
-        if not line:
-            continue
-        t, e, ret, dist = line.split(",")
-        log.add(int(t), int(e), float(ret), float(dist))
+    for row in csv_rows(text, TRAINING_LOG_HEADER, (int, int, float, float), source):
+        log.add(*row)
     return log
 
 

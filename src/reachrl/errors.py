@@ -26,4 +26,4 @@ class NumericError(ReachError):
 
 
 class CorruptDataError(ReachError):
-    """Persisted data (CSV/JSON) is malformed; never silently repaired."""
+    """A workspace CSV or JSON file but policy.json is malformed; never silently repaired."""

@@ -23,8 +23,6 @@ from them) can differ from an episode-by-episode run in the last bits.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,17 +31,17 @@ import numpy as np
 
 from .agents import EVAL_SEED_OFFSET, PolicyArtifact, policy_from_json
 from .envs import EnvConfig, config_to_json, make_env, registry_lookup, run_episodes, success_flags
-from .errors import CorruptDataError, LifecycleError, ValidationError
+from .errors import LifecycleError, ValidationError
 from .experiment import (
     ExperimentRecord,
     STATUS_COMPLETE,
+    SeedRun,
     exp_dir,
     load_experiment,
     seed_dir,
-    seed_run_statuses,
-    total_train_walltime,
+    seed_runs,
 )
-from .ioutil import atomic_write_text, exclusive_lock
+from .ioutil import atomic_write_text, csv_rows, csv_text, exclusive_lock
 
 
 # Episodes stepped together; bounds the memory of a stochastic evaluation's
@@ -236,15 +234,12 @@ def episode_log_header(n_joints: int) -> list[str]:
 
 
 def episode_log_to_csv(log: EpisodeLog) -> str:
-    lines = [",".join(episode_log_header(log.n_joints))]
-    for t in range(len(log)):
-        values = (
-            list(log.angles[t]) + list(log.ee[t]) + list(log.goal[t])
-            + list(log.actions[t])
-            + [log.rewards[t], log.distances[t], log.velocities[t], log.accelerations[t]]
-        )
-        lines.append(",".join([str(t)] + [repr(float(v)) for v in values]))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([
+        log.angles, log.ee, log.goal, log.actions,
+        log.rewards, log.distances, log.velocities, log.accelerations,
+    ])
+    rows = ([t, *row] for t, row in enumerate(table.tolist()))
+    return csv_text(episode_log_header(log.n_joints), rows)
 
 
 BENCHMARK_HEADER = [
@@ -254,61 +249,26 @@ BENCHMARK_HEADER = [
     "mean_final_distance_mm", "train_walltime_s", "env_config_json", "hyperparams_json",
 ]
 
-_BENCHMARK_INT_COLUMNS = {"exp_id", "n_timesteps", "n_seeds", "n_eval_episodes"}
-_BENCHMARK_FLOAT_COLUMNS = {
-    "mean_return", "std_return", "success_ratio_5mm", "success_ratio_10mm",
-    "success_ratio_20mm", "success_ratio_50mm", "mean_final_distance_mm",
-    "train_walltime_s",
-}
+# One per BENCHMARK_HEADER column: the 8 floats run from mean_return to train_walltime_s.
+_BENCHMARK_TYPES = (int, str, str, int, int, int) + (float,) * 8 + (str, str)
 
 BENCHMARK_NUMERIC_METRICS = tuple(
-    c for c in BENCHMARK_HEADER if c in _BENCHMARK_INT_COLUMNS | _BENCHMARK_FLOAT_COLUMNS
+    c for c, cast in zip(BENCHMARK_HEADER, _BENCHMARK_TYPES) if cast is not str
 )
 
 
 def benchmark_rows_to_csv(rows: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(BENCHMARK_HEADER)
-    for row in sorted(rows, key=lambda r: r["exp_id"]):
-        writer.writerow(
-            [
-                repr(row[c]) if c in _BENCHMARK_FLOAT_COLUMNS else row[c]
-                for c in BENCHMARK_HEADER
-            ]
-        )
-    return buffer.getvalue()
+    return csv_text(
+        BENCHMARK_HEADER,
+        ([row[c] for c in BENCHMARK_HEADER] for row in sorted(rows, key=lambda r: r["exp_id"])),
+    )
 
 
 def benchmark_rows_from_csv(text: str, path: str = "benchmark.csv") -> list[dict]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CorruptDataError(f"{path}: empty file") from None
-    if header != BENCHMARK_HEADER:
-        raise CorruptDataError(f"{path}: unexpected header {header!r}")
-    rows = []
-    for i, cells in enumerate(reader, start=2):
-        if not cells:
-            continue
-        if len(cells) != len(BENCHMARK_HEADER):
-            raise CorruptDataError(f"{path}: line {i} has {len(cells)} fields")
-        row = {}
-        for name, cell in zip(BENCHMARK_HEADER, cells):
-            try:
-                if name in _BENCHMARK_INT_COLUMNS:
-                    row[name] = int(cell)
-                elif name in _BENCHMARK_FLOAT_COLUMNS:
-                    row[name] = float(cell)
-                else:
-                    row[name] = cell
-            except ValueError:
-                raise CorruptDataError(
-                    f"{path}: line {i}: bad value {cell!r} for column {name}"
-                ) from None
-        rows.append(row)
-    return rows
+    return [
+        dict(zip(BENCHMARK_HEADER, cells))
+        for cells in csv_rows(text, BENCHMARK_HEADER, _BENCHMARK_TYPES, path)
+    ]
 
 
 def read_benchmark(workspace: Path) -> list[dict]:
@@ -381,17 +341,18 @@ def evaluate_experiment(
             f"experiment {exp_id} has status {record.status}; "
             f"pass allow_partial to evaluate completed seeds anyway"
         )
+    runs = seed_runs(workspace, record)
     per_seed = [
         evaluate_policy(
             _load_seed_policy(workspace, exp_id, k), record.env_id, n_episodes, deterministic,
             seed=record.base_seed + k + EVAL_SEED_OFFSET,
         )
-        for k in _completed_seeds(workspace, exp_id)
+        for k in _completed_seeds(exp_id, runs)
     ]
     metrics = aggregate_across_seeds(per_seed)
     append_benchmark_row(
         workspace, exp_id, metrics, record,
-        train_walltime_s=total_train_walltime(workspace, exp_id),
+        train_walltime_s=sum(run.wall_time_s for run in runs),
     )
     return metrics, per_seed
 
@@ -402,9 +363,8 @@ def _load_seed_policy(workspace: Path, exp_id: int, k: int) -> PolicyArtifact:
     return policy_from_json(path.read_text(encoding="utf-8"), str(path))
 
 
-def _completed_seeds(workspace: Path, exp_id: int) -> list[int]:
-    statuses = seed_run_statuses(workspace, exp_id)
-    completed = [k for k, status in statuses.items() if status == "complete"]
+def _completed_seeds(exp_id: int, runs: list[SeedRun]) -> list[int]:
+    completed = [run.k for run in runs if run.status == "complete"]
     if not completed:
         raise ValidationError(f"experiment {exp_id} has no completed seed runs")
     return completed
@@ -417,7 +377,7 @@ def write_episode_log(workspace: Path, exp_id: int) -> tuple[EpisodeLog, Path]:
     run 0's first evaluation episode (base_seed + 3000).
     """
     record = load_experiment(workspace, exp_id)
-    k = _completed_seeds(workspace, exp_id)[0]
+    k = _completed_seeds(exp_id, seed_runs(workspace, record))[0]
     log = log_episode(
         _load_seed_policy(workspace, exp_id, k), record.env_id,
         seed=record.base_seed + EVAL_SEED_OFFSET,

@@ -22,7 +22,6 @@ orchestrator is the single writer of config.json.
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from dataclasses import dataclass, field
@@ -41,6 +40,8 @@ from .errors import CorruptDataError, LifecycleError, ValidationError
 from .ioutil import (
     atomic_write_text,
     claim_numbered_dir,
+    json_text,
+    read_json,
     reaped_resource_tracker,
     single_threaded_blas_env,
 )
@@ -70,6 +71,13 @@ class ExperimentRecord:
     extras: dict = field(default_factory=dict)  # unknown keys, preserved on rewrite
 
 
+@dataclass
+class SeedRun:
+    k: int
+    status: str  # "complete" or "failed" from run_meta.json, "missing" without one
+    wall_time_s: float = 0.0
+
+
 def exp_dir(workspace: Path, exp_id: int) -> Path:
     return Path(workspace) / f"exp_{exp_id}"
 
@@ -93,11 +101,22 @@ def list_experiment_ids(workspace: Path) -> list[int]:
 def record_to_json(record: ExperimentRecord) -> str:
     doc = {name: getattr(record, name) for name in _RECORD_FIELDS}
     doc.update(record.extras)
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
 def save_record(workspace: Path, record: ExperimentRecord) -> None:
     atomic_write_text(exp_dir(workspace, record.exp_id) / "config.json", record_to_json(record))
+
+
+def _read_fields(path: Path, fields: tuple[str, ...]) -> dict:
+    """The JSON object at ``path``, which must hold every name in ``fields``."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise CorruptDataError(f"{path}: not a JSON object")
+    missing = [name for name in fields if name not in doc]
+    if missing:
+        raise CorruptDataError(f"{path}: missing fields {missing}")
+    return doc
 
 
 def load_experiment(workspace: Path, exp_id: int) -> ExperimentRecord:
@@ -105,13 +124,7 @@ def load_experiment(workspace: Path, exp_id: int) -> ExperimentRecord:
     path = exp_dir(workspace, exp_id) / "config.json"
     if not path.is_file():
         raise ValidationError(f"no experiment {exp_id} in workspace {workspace}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise CorruptDataError(f"{path}: {err.msg} at byte offset {err.pos}") from None
-    missing = [name for name in _RECORD_FIELDS if name not in doc]
-    if missing:
-        raise CorruptDataError(f"{path}: missing fields {missing}")
+    doc = _read_fields(path, _RECORD_FIELDS)
     known = {name: doc[name] for name in _RECORD_FIELDS}
     extras = {k: v for k, v in doc.items() if k not in _RECORD_FIELDS}
     return ExperimentRecord(**known, extras=extras)
@@ -161,7 +174,7 @@ def _run_seed_task(exp_dir_str: str, k: int) -> dict:
     "failed" and the error text.
     """
     directory = Path(exp_dir_str)
-    doc = json.loads((directory / "config.json").read_text(encoding="utf-8"))
+    doc = read_json(directory / "config.json")
     seed = int(doc["base_seed"]) + k
     config = make_algo_config(doc["algo"], int(doc["n_timesteps"]), doc["hyperparams"])
     run_dir = directory / f"seed_{k}"
@@ -181,7 +194,7 @@ def _run_seed_task(exp_dir_str: str, k: int) -> dict:
     meta = {"seed": seed, "wall_time_s": wall, "status": status}
     if error is not None:
         meta["error"] = error
-    atomic_write_text(run_dir / "run_meta.json", json.dumps(meta, indent=2) + "\n")
+    atomic_write_text(run_dir / "run_meta.json", json_text(meta))
     return {"k": k, "status": status, "wall_time_s": wall}
 
 
@@ -233,25 +246,17 @@ def run_experiment(
     return record
 
 
-def seed_run_statuses(workspace: Path, exp_id: int) -> dict[int, str]:
-    """Per-seed status from run_meta.json; missing runs map to 'missing'."""
-    record = load_experiment(workspace, exp_id)
-    statuses = {}
+def seed_runs(workspace: Path, record: ExperimentRecord) -> list[SeedRun]:
+    """Each seed run's status and wall time, from its run_meta.json."""
+    runs = []
     for k in range(record.n_seeds):
-        meta_path = seed_dir(workspace, exp_id, k) / "run_meta.json"
-        if meta_path.is_file():
-            statuses[k] = json.loads(meta_path.read_text(encoding="utf-8"))["status"]
-        else:
-            statuses[k] = "missing"
-    return statuses
-
-
-def total_train_walltime(workspace: Path, exp_id: int) -> float:
-    """Sum of per-seed wall times, seconds (0.0 for runs without metadata)."""
-    record = load_experiment(workspace, exp_id)
-    total = 0.0
-    for k in range(record.n_seeds):
-        meta_path = seed_dir(workspace, exp_id, k) / "run_meta.json"
-        if meta_path.is_file():
-            total += float(json.loads(meta_path.read_text(encoding="utf-8"))["wall_time_s"])
-    return total
+        path = seed_dir(workspace, record.exp_id, k) / "run_meta.json"
+        if not path.is_file():
+            runs.append(SeedRun(k, "missing"))
+            continue
+        meta = _read_fields(path, ("status", "wall_time_s"))
+        try:
+            runs.append(SeedRun(k, str(meta["status"]), float(meta["wall_time_s"])))
+        except (TypeError, ValueError):
+            raise CorruptDataError(f"{path}: bad wall_time_s {meta['wall_time_s']!r}") from None
+    return runs

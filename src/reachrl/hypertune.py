@@ -22,10 +22,7 @@ byte-identical for every P.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
 import re
 import statistics
 import traceback
@@ -41,6 +38,8 @@ from .errors import NumericError, ReachError, ValidationError
 from .ioutil import (
     atomic_write_text,
     claim_numbered_dir,
+    csv_text,
+    json_text,
     reaped_resource_tracker,
     single_threaded_blas_env,
 )
@@ -239,20 +238,14 @@ def _next_study_id(studies_root: Path) -> int:
 
 
 def trials_to_csv(trials: list[Trial], dimension_names: list[str]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["trial_id", "state", "final_value", *dimension_names, "pruned_at_step"])
-    for t in trials:
-        writer.writerow(
-            [
-                t.trial_id,
-                t.state,
-                "" if t.final_value is None else repr(float(t.final_value)),
-                *[t.config[name] for name in dimension_names],
-                "" if t.pruned_at_step is None else t.pruned_at_step,
-            ]
-        )
-    return buffer.getvalue()
+    return csv_text(
+        ["trial_id", "state", "final_value", *dimension_names, "pruned_at_step"],
+        (
+            [t.trial_id, t.state, t.final_value, *[t.config[name] for name in dimension_names],
+             t.pruned_at_step]
+            for t in trials
+        ),
+    )
 
 
 def _decide(
@@ -437,7 +430,5 @@ def run_study(
     study_id = claim_numbered_dir(studies_root, "study_", _next_study_id(studies_root))
     study_dir = studies_root / f"study_{study_id}"
     atomic_write_text(study_dir / "trials.csv", trials_to_csv(trials, list(space)))
-    atomic_write_text(
-        study_dir / "best_config.json", json.dumps(best.config, indent=2) + "\n"
-    )
+    atomic_write_text(study_dir / "best_config.json", json_text(best.config))
     return StudyReport(study_id=study_id, study_dir=study_dir, trials=trials, best=best)

@@ -1,12 +1,78 @@
-"""Small filesystem helpers: crash-safe writes, ID claims, advisory locking."""
+"""The workspace file codec, crash-safe writes, ID claims, advisory locking.
+
+Every workspace CSV and JSON file but ``policy.json`` is written by
+``csv_text`` or ``json_text`` and read by ``csv_rows`` or ``read_json``, which
+raise CorruptDataError naming the file on anything they would not write.
+"""
 
 from __future__ import annotations
 
+import csv
 import fcntl
+import io
+import json
 import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import CorruptDataError
+
+
+def _cell(value):
+    if isinstance(value, float):  # repr(np.float64(0.5)) is "np.float64(0.5)" in numpy 2
+        return repr(float(value))
+    return "" if value is None else value
+
+
+def csv_text(header, rows) -> str:
+    """One header line, then one line per row; floats as repr, None as empty."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(value) for value in row] for row in rows)
+    return buffer.getvalue()
+
+
+def csv_rows(text: str, header, types, source: str) -> list[list]:
+    """The rows of ``text`` under ``header``, cell i converted by ``types[i]``.
+
+    Blank lines are skipped.  A different header, a row of another width or
+    a cell its type rejects raises CorruptDataError naming ``source`` and
+    the line.
+    """
+    reader = csv.reader(io.StringIO(text))
+    rows = []
+    try:
+        found = next(reader, [])
+        if found != list(header):
+            raise CorruptDataError(f"{source}: line 1: unexpected header {found!r}")
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise CorruptDataError(
+                    f"{source}: line {reader.line_num} has {len(cells)} fields, "
+                    f"expected {len(header)}"
+                )
+            rows.append([cast(cell) for cast, cell in zip(types, cells)])
+    except (csv.Error, ValueError) as err:
+        raise CorruptDataError(f"{source}: line {reader.line_num}: {err}") from None
+    return rows
+
+
+def json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def read_json(path: Path):
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise CorruptDataError(f"{path}: {err.msg} at byte offset {err.pos}") from None
+    except UnicodeDecodeError as err:
+        raise CorruptDataError(f"{path}: not UTF-8 at byte offset {err.start}") from None
 
 
 def atomic_write_text(path: Path, text: str) -> None:

@@ -8,8 +8,6 @@ bytes are deterministic and safe to diff in tests.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +21,8 @@ from .evaluation import (
     episode_log_to_csv,
     read_benchmark,
 )
-from .experiment import load_experiment, seed_dir, seed_run_statuses
-from .ioutil import atomic_write_text
+from .experiment import load_experiment, seed_dir, seed_runs
+from .ioutil import atomic_write_text, csv_rows, csv_text
 
 DEFAULT_SMOOTHING_WINDOW = 50
 
@@ -230,44 +228,31 @@ CURVES_DATA_HEADER = ["series", "timestep", "episode_return"]
 
 
 def series_to_csv(series_list: list[Series]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CURVES_DATA_HEADER)
-    for series in series_list:
-        for x, y in zip(series.xs, series.ys):
-            writer.writerow([series.label, repr(float(x)), repr(float(y))])
-    return buffer.getvalue()
+    return csv_text(
+        CURVES_DATA_HEADER,
+        ([s.label, x, y] for s in series_list for x, y in zip(s.xs.tolist(), s.ys.tolist())),
+    )
 
 
 def series_from_csv(text: str) -> list[Series]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CURVES_DATA_HEADER:
-        raise ValidationError(f"unexpected plot data header: {header!r}")
-    order: list[str] = []
-    points: dict[str, list[tuple[float, float]]] = {}
-    for label, x, y in reader:
-        if label not in points:
-            order.append(label)
-            points[label] = []
-        points[label].append((float(x), float(y)))
-    return [
-        Series(label, np.array([p[0] for p in points[label]]), np.array([p[1] for p in points[label]]))
-        for label in order
-    ]
+    points: dict[str, tuple[list, list]] = {}  # labels in order of first appearance
+    for label, x, y in csv_rows(text, CURVES_DATA_HEADER, (str, float, float), "plot data"):
+        xs, ys = points.setdefault(label, ([], []))
+        xs.append(x)
+        ys.append(y)
+    return [Series(label, np.array(xs), np.array(ys)) for label, (xs, ys) in points.items()]
 
 
 def training_curve_series(workspace: Path, exp_id: int, window: int) -> list[Series]:
     """Smoothed per-seed curves plus the across-seed mean (label 'mean')."""
-    statuses = seed_run_statuses(workspace, exp_id)
-    completed = [k for k, status in statuses.items() if status == "complete"]
+    runs = seed_runs(workspace, load_experiment(workspace, exp_id))
+    completed = [run.k for run in runs if run.status == "complete"]
     if not completed:
         raise ValidationError(f"experiment {exp_id} has no completed seed runs to plot")
     curves = []
     for k in completed:
-        log = training_log_from_csv(
-            (seed_dir(workspace, exp_id, k) / "training_log.csv").read_text(encoding="utf-8")
-        )
+        path = seed_dir(workspace, exp_id, k) / "training_log.csv"
+        log = training_log_from_csv(path.read_text(encoding="utf-8"), str(path))
         if not log.rows:
             raise ValidationError(f"experiment {exp_id} seed {k} logged no episodes")
         raw = Series(
@@ -290,7 +275,6 @@ def emit_training_curves(
     workspace: Path, exp_id: int, window: int = DEFAULT_SMOOTHING_WINDOW
 ) -> tuple[Path, Path]:
     """Write training_curves.svg and its data sidecar under the experiment dir."""
-    load_experiment(workspace, exp_id)
     series_list = training_curve_series(workspace, exp_id, window)
     svg = render_line_chart(
         series_list,
@@ -391,18 +375,11 @@ def emit_benchmark_comparison(
         ylabel=metric,
         y_limits=y_limits,
     )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
     header = ["exp_id", metric] + (["std_return"] if whiskers is not None else [])
-    writer.writerow(header)
-    for i, exp_id in enumerate(exp_ids):
-        row = [exp_id, repr(values[i])]
-        if whiskers is not None:
-            row.append(repr(whiskers[i]))
-        writer.writerow(row)
+    columns = [exp_ids, values] + ([whiskers] if whiskers is not None else [])
     figures = Path(workspace) / "figures"
     svg_path = figures / f"benchmark_{metric}.svg"
     csv_path = figures / f"benchmark_{metric}.data.csv"
     atomic_write_text(svg_path, svg)
-    atomic_write_text(csv_path, buffer.getvalue())
+    atomic_write_text(csv_path, csv_text(header, zip(*columns)))
     return svg_path, csv_path

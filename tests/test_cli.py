@@ -282,7 +282,7 @@ def test_commands_load_only_the_subsystems_they_run(tmp_path):
     loaded = modules_loaded_by(["list-envs"])
     assert loaded.isdisjoint({
         "reachrl.experiment", "reachrl.evaluation", "reachrl.hypertune", "reachrl.report",
-        "concurrent.futures", "multiprocessing",
+        "reachrl.ioutil", "csv", "concurrent.futures", "multiprocessing",
     })
     assert run(["train", "--algo", "random", "--env", "reach-planar-v1", "--n-timesteps", "100",
                 "--n-seeds", "1", "--workspace", str(tmp_path)]) == 0
@@ -302,6 +302,30 @@ def test_corrupt_benchmark_exits_two(tmp_path, capsys):
                 "--workspace", str(tmp_path)])
     assert code == 2
     assert "runtime failure" in capsys.readouterr().err
+
+
+LOG_HEADER = "timestep,episode,episode_return,episode_final_distance_m\n"
+
+
+@pytest.mark.parametrize("command, name, text, where", [
+    ("plot", "seed_0/training_log.csv", "timestep,episode\n100,1\n", "line 1"),
+    ("plot", "seed_0/training_log.csv", LOG_HEADER + "1,2\n", "line 2"),
+    ("plot", "seed_0/training_log.csv", LOG_HEADER + "100,1,abc,0.1\n", "line 2"),
+    ("evaluate", "seed_0/run_meta.json", '{"seed": 0, "status": broken', "byte offset"),
+    ("evaluate", "seed_0/run_meta.json", '{"seed": 0, "status": "complete"}\n', "wall_time_s"),
+    ("evaluate", "config.json", '{"exp_id": 1, broken', "byte offset"),
+], ids=["log-header", "log-short-row", "log-not-a-number", "meta-not-json", "meta-missing-key",
+        "config-not-json"])
+def test_malformed_workspace_file_exits_two_naming_it(tmp_path, capsys, command, name, text, where):
+    run(["train", "--algo", "random", "--env", "reach-planar-v1",
+         "--n-timesteps", "100", "--n-seeds", "1", "--workspace", str(tmp_path)])
+    path = tmp_path / "exp_1" / name
+    path.write_text(text)
+    capsys.readouterr()
+    assert run([command, "--exp-id", "1", "--workspace", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {path}: ")
+    assert where in err
 
 
 def test_workspace_env_var_default(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachrl import evaluation
+from reachrl import evaluation, experiment
 from reachrl.agents import PolicyArtifact
 from reachrl.arm import forward_kinematics, widowx_arm
 from reachrl.envs import make_env, registered_env_ids, registry_lookup, success_flags
@@ -333,6 +333,28 @@ def test_benchmark_corruption_is_explicit(tmp_path):
     path.write_text(",".join(BENCHMARK_HEADER) + "\nnot-an-int,a,b\n")
     with pytest.raises(CorruptDataError):
         read_benchmark(tmp_path)
+
+
+def test_evaluate_reads_config_and_each_run_meta_once(tmp_path, monkeypatch):
+    record = experiment.create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
+    experiment.run_experiment(tmp_path, record.exp_id)
+    reads = []
+    real_read_json = experiment.read_json
+
+    def read_json(path):
+        reads.append(path.relative_to(tmp_path).as_posix())
+        return real_read_json(path)
+
+    monkeypatch.setattr(experiment, "read_json", read_json)
+    evaluation.evaluate_experiment(tmp_path, record.exp_id, n_episodes=2)
+    assert sorted(reads) == [
+        "exp_1/config.json", "exp_1/seed_0/run_meta.json", "exp_1/seed_1/run_meta.json",
+    ]
+    wall_times = [
+        real_read_json(experiment.seed_dir(tmp_path, 1, k) / "run_meta.json")["wall_time_s"]
+        for k in range(2)
+    ]
+    assert read_benchmark(tmp_path)[0]["train_walltime_s"] == sum(wall_times)
 
 
 def test_benchmark_json_columns_survive_csv_quoting(tmp_path):

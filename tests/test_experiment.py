@@ -17,9 +17,10 @@ from reachrl.experiment import (
     load_experiment,
     record_to_json,
     run_experiment,
+    SeedRun,
     save_record,
     seed_dir,
-    seed_run_statuses,
+    seed_runs,
 )
 
 FAST_PPO = {"rollout_len": 64, "minibatch_size": 32, "n_epochs": 1}
@@ -153,7 +154,8 @@ def test_failed_seed_marks_experiment_failed_but_others_complete(tmp_path, monke
     record = create_experiment(tmp_path, "random", "reach-planar-v1", 200, 3)
     record = run_experiment(tmp_path, record.exp_id)
     assert record.status == STATUS_FAILED
-    assert seed_run_statuses(tmp_path, record.exp_id) == {0: "complete", 1: "failed", 2: "complete"}
+    statuses = {run.k: run.status for run in seed_runs(tmp_path, record)}
+    assert statuses == {0: "complete", 1: "failed", 2: "complete"}
     assert (seed_dir(tmp_path, record.exp_id, 1) / "training_log.csv").is_file()
     assert not (seed_dir(tmp_path, record.exp_id, 1) / "policy.json").exists()
 
@@ -175,12 +177,38 @@ def test_seed_task_records_any_training_exception(tmp_path, monkeypatch):
     record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 1)
     result = experiment._run_seed_task(str(exp_dir(tmp_path, record.exp_id)), 0)
     assert result["status"] == "failed"
-    assert seed_run_statuses(tmp_path, record.exp_id) == {0: "failed"}
+    assert {run.k: run.status for run in seed_runs(tmp_path, record)} == {0: "failed"}
     run = seed_dir(tmp_path, record.exp_id, 0)
     meta = json.loads((run / "run_meta.json").read_text())
     assert meta["error"] == "RuntimeError: worker crashed"
     assert (run / "training_log.csv").read_text() == "timestep,episode,episode_return,episode_final_distance_m\n"
     assert not (run / "policy.json").exists()
+
+
+def test_seed_runs_reads_status_and_wall_time_and_marks_missing_runs(tmp_path):
+    record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
+    run_dir = seed_dir(tmp_path, record.exp_id, 0)
+    run_dir.mkdir()
+    (run_dir / "run_meta.json").write_text('{"seed": 0, "wall_time_s": 1.5, "status": "complete"}\n')
+    assert seed_runs(tmp_path, record) == [SeedRun(0, "complete", 1.5), SeedRun(1, "missing")]
+
+
+@pytest.mark.parametrize("data, problem", [
+    (b'{"seed": 0, "status": broken', "byte offset"),
+    (b'{"seed": 0, "status": "\xff"}\n', "not UTF-8 at byte offset 23"),
+    (b'{"seed": 0, "status": "complete"}\n', "missing fields ['wall_time_s']"),
+    (b'["complete", 1.5]\n', "not a JSON object"),
+    (b'{"seed": 0, "wall_time_s": "slow", "status": "complete"}\n', "bad wall_time_s"),
+], ids=["not-json", "not-utf8", "missing-key", "not-an-object", "wall-time-not-a-number"])
+def test_malformed_run_meta_is_corrupt_data_naming_the_file(tmp_path, data, problem):
+    record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 1)
+    path = seed_dir(tmp_path, record.exp_id, 0) / "run_meta.json"
+    path.parent.mkdir()
+    path.write_bytes(data)
+    with pytest.raises(CorruptDataError) as excinfo:
+        seed_runs(tmp_path, record)
+    assert str(path) in str(excinfo.value)
+    assert problem in str(excinfo.value)
 
 
 def test_experiment_id_taken_after_listing_moves_to_next(tmp_path, monkeypatch):
