@@ -17,11 +17,15 @@ wall time) and the hashes of ``episode_eval.csv`` and ``episode_panels.svg``.
 Then it runs ``plot --exp-id 1`` and ``benchmark --exp-ids 1 --metric
 mean_return`` and prints the hashes of the figures and their data sidecars.
 
-Last, it runs one small PPO study on reach-v1 (6 trials x 256 steps, 2
+Then it runs one small PPO study on reach-v1 (6 trials x 256 steps, 2
 checkpoints) at ``--parallel 1`` and at ``--parallel 2``, and prints the
 hashes of each study's ``trials.csv`` and ``best_config.json``; the two
 pairs must be equal.  BLAS is pinned to one thread before numpy loads, so
 the in-process ``--parallel 1`` study runs as the spawned workers do.
+
+Last, it trains the PPO run again with ``--parallel 1`` and prints its seed
+hashes, which must equal those of the first PPO run (default ``--parallel``,
+the usable cores up to 2).
 
     PYTHONPATH=src python scripts/artifact_hashes.py
 """
@@ -88,6 +92,12 @@ def main() -> int:
             study = Path(workspace) / "studies" / f"study_{study_id}"
             for artifact in ("trials.csv", "best_config.json"):
                 print(f"ppo tune parallel={parallel} {artifact} {sha256(study / artifact)}")
+        name, args = RUNS[0]
+        run_cli(name, ["train", *args, "--parallel", "1", "--workspace", workspace])
+        for seed_path in sorted((Path(workspace) / f"exp_{len(RUNS) + 1}").glob("seed_*")):
+            for artifact in ("training_log.csv", "policy.json"):
+                print(f"{name} parallel=1 {seed_path.name} {artifact} "
+                      f"{sha256(seed_path / artifact)}")
     return 0
 
 

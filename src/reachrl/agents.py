@@ -150,11 +150,11 @@ def policy_to_json(policy: PolicyArtifact) -> str:
     return json.dumps(policy_to_dict(policy)) + "\n"
 
 
-def policy_from_json(text: str, source: str = "text") -> PolicyArtifact:
+def policy_from_json(text: str | bytes, source: str = "text") -> PolicyArtifact:
     """The policy ``policy_to_json`` wrote; anything else raises ValidationError."""
     try:
         return policy_from_dict(json.loads(text))
-    except (KeyError, TypeError, ValueError, ValidationError) as err:  # JSONDecodeError too
+    except (KeyError, TypeError, ValueError, ValidationError) as err:  # decode errors too
         raise ValidationError(f"{source} is not a valid policy: {err!r}") from None
 
 

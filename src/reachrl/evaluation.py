@@ -41,7 +41,7 @@ from .experiment import (
     seed_dir,
     seed_runs,
 )
-from .ioutil import atomic_write_text, csv_rows, csv_text, exclusive_lock
+from .ioutil import atomic_write_text, csv_rows, csv_text, exclusive_lock, read_text
 
 
 # Episodes stepped together; bounds the memory of a stochastic evaluation's
@@ -275,7 +275,7 @@ def read_benchmark(workspace: Path) -> list[dict]:
     path = Path(workspace) / "benchmark.csv"
     if not path.is_file():
         return []
-    return benchmark_rows_from_csv(path.read_text(encoding="utf-8"), str(path))
+    return benchmark_rows_from_csv(read_text(path), str(path))
 
 
 def metrics_to_benchmark_row(
@@ -318,7 +318,7 @@ def append_benchmark_row(
     path = workspace / "benchmark.csv"
     new_row = metrics_to_benchmark_row(metrics, record, train_walltime_s)
     with exclusive_lock(workspace / "benchmark.csv.lock"):
-        rows = benchmark_rows_from_csv(path.read_text(encoding="utf-8"), str(path)) if path.is_file() else []
+        rows = benchmark_rows_from_csv(read_text(path), str(path)) if path.is_file() else []
         rows = [r for r in rows if r["exp_id"] != exp_id] + [new_row]
         atomic_write_text(path, benchmark_rows_to_csv(rows))
 
@@ -360,7 +360,7 @@ def evaluate_experiment(
 def _load_seed_policy(workspace: Path, exp_id: int, k: int) -> PolicyArtifact:
     """The trained policy of seed run k."""
     path = seed_dir(workspace, exp_id, k) / "policy.json"
-    return policy_from_json(path.read_text(encoding="utf-8"), str(path))
+    return policy_from_json(path.read_bytes(), str(path))
 
 
 def _completed_seeds(exp_id: int, runs: list[SeedRun]) -> list[int]:

@@ -42,8 +42,7 @@ from .ioutil import (
     claim_numbered_dir,
     json_text,
     read_json,
-    reaped_resource_tracker,
-    single_threaded_blas_env,
+    run_in_workers,
 )
 
 STATUS_CREATED = "Created"
@@ -167,7 +166,7 @@ def create_experiment(
 
 
 def _run_seed_task(exp_dir_str: str, k: int) -> dict:
-    """Train one seed run; module-level so process pools can pickle it.
+    """Train one seed run; module-level so spawned workers can unpickle it.
 
     Any exception from training is recorded: ``training_log.csv`` (the partial
     log of a NumericError, else empty) and ``run_meta.json`` with status
@@ -199,22 +198,10 @@ def _run_seed_task(exp_dir_str: str, k: int) -> dict:
 
 
 def _run_seed_tasks(directory: str, n_seeds: int, parallelism: int) -> list[dict]:
-    """Execute every seed run in a freshly spawned child process.
-
-    Children get single-threaded BLAS, so the artifacts are bitwise
-    independent of ``parallelism`` and of the parent's thread configuration.
-    The resource tracker is stopped after the pool has shut down, which
-    releases its queues' semaphores.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    with reaped_resource_tracker():
-        with single_threaded_blas_env(), ProcessPoolExecutor(
-            max_workers=parallelism, mp_context=get_context("spawn")
-        ) as pool:
-            futures = [pool.submit(_run_seed_task, directory, k) for k in range(n_seeds)]
-            return [f.result() for f in futures]
+    """Execute every seed run in a spawned worker; single-threaded BLAS there makes
+    the artifacts independent of ``parallelism`` and of this process's threads."""
+    jobs = [(directory, k) for k in range(n_seeds)]
+    return [result for _, _, result, _ in run_in_workers(_run_seed_task, jobs, parallelism)]
 
 
 def run_experiment(

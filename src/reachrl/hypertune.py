@@ -7,9 +7,9 @@ strictly below the median of prior trials at the same checkpoint.  Studies
 are deterministic given their seed, whatever their parallelism.
 
 The configs are drawn up front, in trial order.  With ``parallel`` P > 1
-the trials run in P spawned workers, handed out in trial order, each
-worker blocking at every checkpoint report until the parent answers
-continue or prune.
+the trials run in P spawned workers (``ioutil.run_in_workers``), handed out
+in trial order, each worker blocking at every checkpoint report until the
+parent answers continue or prune.
 The parent answers trial i's report through the same decision function as
 the in-process loop, and only once it would read what the sequential study
 reads: at once when i is below ``min_trials_before_prune`` (too few priors
@@ -25,23 +25,20 @@ from __future__ import annotations
 import functools
 import re
 import statistics
-import traceback
 from dataclasses import dataclass, field
-from multiprocessing import get_context
-from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
 
 from .agents import EVAL_SEED_OFFSET, make_algo_config, train
-from .errors import NumericError, ReachError, ValidationError
+from .errors import NumericError, ValidationError
 from .ioutil import (
+    ask_parent,
     atomic_write_text,
     claim_numbered_dir,
     csv_text,
     json_text,
-    reaped_resource_tracker,
-    single_threaded_blas_env,
+    run_in_workers,
 )
 
 MIN_TRIALS_BEFORE_PRUNE = 5
@@ -181,18 +178,20 @@ def checkpointed_training(
     hyperparams: dict,
     checkpoint_steps: list[int],
     n_eval_episodes: int = 20,
+    report=None,
 ):
-    """Train to the last checkpoint, evaluating at each one (no pruning).
+    """Train to the last checkpoint, evaluating at each one.
 
-    Returns (policy artifact, training log, [(step, mean_eval_return)]).
-    Module-level so process pools can run seeds concurrently.
+    With ``report``, calls ``report(step, mean_eval_return)`` at each
+    checkpoint and stops early when it returns False.  Returns (policy
+    artifact, training log, [(step, mean_eval_return)]).
     """
     config = make_algo_config(algo, n_timesteps=checkpoint_steps[-1], hyperparams=hyperparams)
     values = []
 
     def on_checkpoint(step, artifact):
         values.append((step, checkpoint_eval_return(artifact, env_id, seed, n_eval_episodes)))
-        return True
+        return report is None or report(*values[-1])
 
     artifact, log = train(algo, env_id, seed, config, tuple(checkpoint_steps), on_checkpoint)
     return artifact, log, values
@@ -213,17 +212,10 @@ def training_trial_runner(
     (returning None) when report asks for it.  Returns the final checkpoint's
     value when the trial runs to completion.
     """
-    config = make_algo_config(algo, n_timesteps=checkpoint_steps[-1], hyperparams=trial_config)
-    values = {}
-
-    def on_checkpoint(step, artifact):
-        value = checkpoint_eval_return(artifact, env_id, seed, n_eval_episodes)
-        values[step] = value
-        return report(step, value)
-
-    train(algo, env_id, seed, config, tuple(checkpoint_steps), on_checkpoint)
-    last = checkpoint_steps[-1]
-    return values.get(last)
+    *_, values = checkpointed_training(
+        algo, env_id, seed, trial_config, checkpoint_steps, n_eval_episodes, report
+    )
+    return dict(values).get(checkpoint_steps[-1])
 
 
 def _next_study_id(studies_root: Path) -> int:
@@ -290,93 +282,25 @@ def _end_trial(trial: Trial, final: float | None, failed: bool) -> None:
         trial.final_value = None if final is None else float(final)
 
 
-def _trial_worker(conn, run_args: tuple) -> None:
-    """Run the trials the parent sends, ``(trial_id, config)`` each, until it
-    sends None; module-level so that spawned workers can start it.
-
-    Each checkpoint report waits for the parent's decision.  A trial ends
-    with ("end", (final, failed)), or with ("error", (exception, traceback
-    text)) for an exception other than NumericError, after which the worker
-    stops.
-    """
-
-    def report(step, value):
-        conn.send(("report", (step, value)))
-        return conn.recv()
-
-    while (job := conn.recv()) is not None:
-        try:
-            outcome = _run_trial(run_args, *job, report)
-        except Exception as err:
-            conn.send(("error", (err, traceback.format_exc())))
-            return
-        conn.send(("end", outcome))
-
-
 def _run_trials_in_workers(
     trials: list[Trial], min_trials_before_prune: int, parallel: int, run_args: tuple
 ) -> None:
-    """Run the trials in ``parallel`` spawned workers, handing them out in
-    trial order, and answer each report once the gate lets ``_decide`` read
-    what the sequential study reads (see the module docstring).
-
-    Workers are joined on every exit path; a trial's exception other than
-    NumericError stops them all and is re-raised here.
-    """
-    ctx = get_context("spawn")
-    workers = []
-    try:
-        with single_threaded_blas_env():
-            for _ in range(min(parallel, len(trials))):
-                conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(target=_trial_worker, args=(child_conn, run_args))
-                proc.start()
-                child_conn.close()
-                workers.append((proc, conn))
-        queue = iter(trials)
-        running = {}  # connection -> id of the trial it runs
-        pending = {}  # trial id -> (connection, step, value) awaiting a decision
-
-        def start_next(conn):
-            trial = next(queue, None)
-            if trial is None:
-                conn.send(None)
-            else:
-                conn.send((trial.trial_id, trial.config))
-                running[conn] = trial.trial_id
-
-        for _, conn in workers:
-            start_next(conn)
-        while running:
-            for conn in wait(list(running)):
-                trial_id = running[conn]
-                try:
-                    kind, payload = conn.recv()
-                except EOFError:
-                    raise ReachError(f"the worker running trial {trial_id} exited") from None
-                if kind == "report":
-                    pending[trial_id] = (conn, *payload)
-                    continue
-                if kind == "error":
-                    err, text = payload
-                    raise err from Exception(f"in trial {trial_id}, in its worker:\n{text}")
-                _end_trial(trials[trial_id], *payload)
-                del running[conn]
-                start_next(conn)
-            oldest = min(running.values(), default=None)
-            for trial_id in sorted(pending):
-                # The gate: too few priors to prune, or every earlier trial has ended.
-                if trial_id < min_trials_before_prune or trial_id == oldest:
-                    conn, step, value = pending.pop(trial_id)
-                    conn.send(_decide(trials, min_trials_before_prune, trial_id, step, value))
-    except BaseException:
-        for proc, _ in workers:
-            proc.terminate()
-        raise
-    finally:
-        for proc, conn in workers:
-            conn.close()
-            proc.join()
+    """Run the trials in spawned workers behind the gate of the module docstring."""
+    jobs = [(run_args, trial.trial_id, trial.config, ask_parent) for trial in trials]
+    unended = set(range(len(trials)))
+    pending = {}  # trial id -> (reply, step, value) awaiting a decision
+    for trial_id, kind, payload, reply in run_in_workers(_run_trial, jobs, parallel):
+        if kind == "ask":
+            pending[trial_id] = (reply, *payload)
+        else:
+            _end_trial(trials[trial_id], *payload)
+            unended.discard(trial_id)
+        oldest = min(unended, default=None)
+        for trial_id in sorted(pending):
+            # The gate: too few priors to prune, or every earlier trial has ended.
+            if trial_id < min_trials_before_prune or trial_id == oldest:
+                reply, step, value = pending.pop(trial_id)
+                reply(_decide(trials, min_trials_before_prune, trial_id, step, value))
 
 
 def run_study(
@@ -418,8 +342,7 @@ def run_study(
             report = functools.partial(_decide, trials, min_trials_before_prune, trial.trial_id)
             _end_trial(trial, *_run_trial(run_args, trial.trial_id, trial.config, report))
     else:
-        with reaped_resource_tracker():
-            _run_trials_in_workers(trials, min_trials_before_prune, parallel, run_args)
+        _run_trials_in_workers(trials, min_trials_before_prune, parallel, run_args)
 
     complete = [t for t in trials if t.state == TRIAL_COMPLETE and t.final_value is not None]
     if not complete:

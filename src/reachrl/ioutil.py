@@ -1,8 +1,10 @@
-"""The workspace file codec, crash-safe writes, ID claims, advisory locking.
+"""The workspace file codec, crash-safe writes, ID claims, advisory locking,
+and the spawned-worker runner.
 
 Every workspace CSV and JSON file but ``policy.json`` is written by
-``csv_text`` or ``json_text`` and read by ``csv_rows`` or ``read_json``, which
-raise CorruptDataError naming the file on anything they would not write.
+``csv_text`` or ``json_text`` and read by ``read_text`` and ``csv_rows``, or
+``read_json``, which raise CorruptDataError naming the file on anything they
+would not write.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import CorruptDataError
+from .errors import CorruptDataError, ReachError
 
 
 def _cell(value):
@@ -65,14 +67,19 @@ def json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def read_json(path: Path):
+def read_text(path: Path) -> str:
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise CorruptDataError(f"{path}: {err.msg} at byte offset {err.pos}") from None
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise CorruptDataError(f"{path}: not UTF-8 at byte offset {err.start}") from None
+
+
+def read_json(path: Path):
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as err:
+        raise CorruptDataError(f"{path}: {err.msg} at byte offset {err.pos}") from None
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -142,7 +149,9 @@ def reaped_resource_tracker():
     process group lingers after the command exits.  Every semaphore and
     shared memory block the block created must be released by its end:
     stopping the tracker unlinks whatever is still registered with it (and
-    warns of a leak), and a later release would start a new tracker.
+    warns of a leak), and a later release would start a new tracker.  The
+    only children spawned are ``run_in_workers``'s, which talk to the parent
+    over pipes alone and so register nothing with it.
 
     The tracker's ``_fd`` and ``_stop`` are CPython internals, so this is
     best-effort: where they are missing, the tracker is left to exit on its
@@ -158,6 +167,92 @@ def reaped_resource_tracker():
     finally:
         if started_here:
             stop()
+
+
+_parent = None  # in a worker of run_in_workers, its pipe to the parent, set before any job
+
+
+def ask_parent(*payload):
+    """Call from inside a ``run_in_workers`` job, so that no task takes a channel
+    parameter: send ``payload`` to the parent and return its answer."""
+    _parent.send(("ask", payload))
+    return _parent.recv()
+
+
+def _worker(conn, task) -> None:
+    """Run ``task(*args)`` for each ``args`` the parent sends until None; send
+    ("end", result), or ("error", (exception, traceback text)) and stop."""
+    global _parent
+    _parent = conn
+    while (args := conn.recv()) is not None:
+        try:
+            result = task(*args)
+        except Exception as err:
+            import traceback
+
+            conn.send(("error", (err, traceback.format_exc())))
+            return
+        conn.send(("end", result))
+
+
+def run_in_workers(task, jobs: list[tuple], parallel: int):
+    """Run ``task(*job)`` for each job in at most ``parallel`` spawned workers.
+
+    Jobs go out in order, over one pipe per worker; the workers run with
+    single-threaded BLAS, and ``task`` and the jobs must pickle.  Yields
+    ``(i, "ask", payload, reply)`` when job i calls ``ask_parent(*payload)``,
+    which blocks it until ``reply(answer)``, and ``(i, "end", result, None)``
+    when it returns.  A job's exception is re-raised here, chained to the
+    worker's traceback; a worker that exits mid-job raises ReachError.  The
+    workers are stopped and joined on every exit path, and the resource
+    tracker is stopped if spawning them started it.
+    """
+    from multiprocessing import get_context
+    from multiprocessing.connection import wait
+
+    ctx = get_context("spawn")
+    queue = enumerate(jobs)
+    workers = []
+    running = {}  # connection -> index of the job it runs
+
+    def hand_out(conn):
+        i, args = next(queue, (None, None))
+        conn.send(args)
+        if args is not None:
+            running[conn] = i
+
+    with reaped_resource_tracker():
+        try:
+            with single_threaded_blas_env():
+                for _ in range(min(parallel, len(jobs))):
+                    conn, child_conn = ctx.Pipe()
+                    proc = ctx.Process(target=_worker, args=(child_conn, task))
+                    proc.start()
+                    child_conn.close()
+                    workers.append((proc, conn))
+                    hand_out(conn)
+            while running:
+                for conn in wait(list(running)):
+                    i = running[conn]
+                    try:
+                        kind, payload = conn.recv()
+                    except (EOFError, ConnectionResetError):  # reset: it left a message unread
+                        raise ReachError(f"the worker running job {i} exited") from None
+                    if kind == "error":
+                        err, text = payload
+                        raise err from Exception(f"in job {i}, in its worker:\n{text}")
+                    if kind == "end":
+                        del running[conn]
+                        hand_out(conn)
+                    yield i, kind, payload, (conn.send if kind == "ask" else None)
+        except BaseException:
+            for proc, _ in workers:
+                proc.terminate()
+            raise
+        finally:
+            for proc, conn in workers:
+                conn.close()
+                proc.join()
 
 
 @contextmanager

@@ -22,7 +22,7 @@ from .evaluation import (
     read_benchmark,
 )
 from .experiment import load_experiment, seed_dir, seed_runs
-from .ioutil import atomic_write_text, csv_rows, csv_text
+from .ioutil import atomic_write_text, csv_rows, csv_text, read_text
 
 DEFAULT_SMOOTHING_WINDOW = 50
 
@@ -60,14 +60,8 @@ def smooth(series: Series, window: int) -> Series:
     m = min(window, n)
     out = np.empty(n)
     for k in range(n):
-        left = right = k
-        while right - left + 1 < m:
-            grow_left = left > 0 and (k - (left - 1) <= (right + 1) - k or right == n - 1)
-            if grow_left:
-                left -= 1
-            else:
-                right += 1
-        out[k] = ys[left : right + 1].mean()
+        left = min(max(k - m // 2, 0), n - m)
+        out[k] = ys[left : left + m].mean()
     return Series(label=series.label, xs=series.xs.copy(), ys=out)
 
 
@@ -252,7 +246,7 @@ def training_curve_series(workspace: Path, exp_id: int, window: int) -> list[Ser
     curves = []
     for k in completed:
         path = seed_dir(workspace, exp_id, k) / "training_log.csv"
-        log = training_log_from_csv(path.read_text(encoding="utf-8"), str(path))
+        log = training_log_from_csv(read_text(path), str(path))
         if not log.rows:
             raise ValidationError(f"experiment {exp_id} seed {k} logged no episodes")
         raw = Series(

@@ -291,6 +291,7 @@ def test_commands_load_only_the_subsystems_they_run(tmp_path):
     assert "reachrl.evaluation" in loaded
     assert loaded.isdisjoint({
         "reachrl.hypertune", "reachrl.report", "reachrl.ppo", "reachrl.td3", "concurrent.futures",
+        "multiprocessing",
     })
 
 
@@ -326,6 +327,29 @@ def test_malformed_workspace_file_exits_two_naming_it(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith(f"runtime failure: {path}: ")
     assert where in err
+
+
+@pytest.mark.parametrize("command, name, data, code, message", [
+    (["plot", "--exp-id", "1"], "exp_1/seed_0/training_log.csv", b"timestep\xff\n", 2,
+     "runtime failure: {path}: not UTF-8 at byte offset 8"),
+    (["benchmark", "--exp-ids", "1", "--metric", "mean_return"], "benchmark.csv",
+     b"exp_id\xff\n", 2, "runtime failure: {path}: not UTF-8 at byte offset 6"),
+    (["evaluate", "--exp-id", "1", "--n-eval-episodes", "2"], "benchmark.csv",
+     b"exp_id\xff\n", 2, "runtime failure: {path}: not UTF-8 at byte offset 6"),
+    (["evaluate", "--exp-id", "1", "--n-eval-episodes", "2"], "exp_1/seed_0/policy.json",
+     b"\xff", 1, "error: {path} is not a valid policy"),
+], ids=["plot-log", "benchmark-csv", "evaluate-benchmark-csv", "evaluate-policy"])
+def test_non_utf8_workspace_file_fails_naming_it(tmp_path, capsys, command, name, data, code,
+                                                 message):
+    run(["train", "--algo", "random", "--env", "reach-planar-v1",
+         "--n-timesteps", "100", "--n-seeds", "1", "--workspace", str(tmp_path)])
+    path = tmp_path / name
+    path.write_bytes(data)
+    capsys.readouterr()
+    assert run([*command, "--workspace", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(path=path))
+    assert "Traceback" not in err
 
 
 def test_workspace_env_var_default(tmp_path, monkeypatch, capsys):

@@ -1,12 +1,22 @@
 import json
+import multiprocessing
+import os
 import shutil
-from concurrent.futures.process import BrokenProcessPool
+import sys
+import types
 from multiprocessing import get_context
 
 import pytest
 
 import reachrl.experiment as experiment
-from reachrl.errors import CorruptDataError, LifecycleError, NumericError, ValidationError
+from reachrl.cli import main as cli_main
+from reachrl.errors import (
+    CorruptDataError,
+    LifecycleError,
+    NumericError,
+    ReachError,
+    ValidationError,
+)
 from reachrl.experiment import (
     STATUS_COMPLETE,
     STATUS_CREATED,
@@ -164,9 +174,54 @@ def test_crashed_seed_task_marks_experiment_failed(tmp_path):
     record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
     # a file where seed 1's run directory belongs makes its task raise
     seed_dir(tmp_path, record.exp_id, 1).write_text("blocked")
-    with pytest.raises((OSError, BrokenProcessPool)):
+    with pytest.raises(OSError):
         run_experiment(tmp_path, record.exp_id)
     assert load_experiment(tmp_path, record.exp_id).status == STATUS_FAILED
+
+
+def exit_in_seed_1(exp_dir_str, k):
+    """Stands in for ``experiment._run_seed_task``: the worker running seed 1
+    dies mid-job.  Module-level, so that spawned workers can unpickle it."""
+    if k == 1:
+        os._exit(9)
+    return experiment._run_seed_task(exp_dir_str, k)
+
+
+def test_seed_worker_that_exits_fails_the_experiment(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "_run_seed_task", exit_in_seed_1)
+    record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
+    with pytest.raises(ReachError, match="the worker running job 1 exited"):
+        run_experiment(tmp_path, record.exp_id, parallelism=2)
+    assert load_experiment(tmp_path, record.exp_id).status == STATUS_FAILED
+    assert multiprocessing.active_children() == []
+
+
+def test_seed_worker_that_cannot_start_fails_the_experiment(tmp_path, monkeypatch):
+    # A task whose module exists only in this process: workers cannot unpickle
+    # it, so each one exits before it reads its job.
+    module = types.ModuleType("module_missing_in_workers")
+    module.task = lambda exp_dir_str, k: None
+    module.task.__module__, module.task.__qualname__ = module.__name__, "task"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    monkeypatch.setattr(experiment, "_run_seed_task", module.task)
+    record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
+    with pytest.raises(ReachError, match="the worker running job [01] exited"):
+        run_experiment(tmp_path, record.exp_id, parallelism=2)
+    assert load_experiment(tmp_path, record.exp_id).status == STATUS_FAILED
+    assert multiprocessing.active_children() == []
+
+
+def test_train_exits_two_without_traceback_when_a_seed_worker_exits(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiment, "_run_seed_task", exit_in_seed_1)
+    code = cli_main(["train", "--algo", "random", "--env", "reach-planar-v1",
+                     "--n-timesteps", "100", "--n-seeds", "2", "--parallel", "2",
+                     "--workspace", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("runtime failure: the worker running job 1 exited")
+    assert "Traceback" not in err
+    assert load_experiment(tmp_path, 1).status == STATUS_FAILED
+    assert multiprocessing.active_children() == []
 
 
 def test_seed_task_records_any_training_exception(tmp_path, monkeypatch):
