@@ -6,7 +6,8 @@ Trains, in a temporary workspace, PPO on reach-planar-v1 (4,096 steps,
 2 seeds, base seed 7), TD3 on reach-planar-v3 (1,500 steps,
 learning_starts=500, seed 7) and the random baseline on reach-v2 (2,000
 steps, 2 seeds, base seed 7), then prints the hash of every seed's
-``training_log.csv`` and ``policy.json``.  Seed runs execute in spawned
+``training_log.csv`` and ``policy.json``, and the ``seed`` and ``status``
+of its ``run_meta.json`` (not its wall time).  Seed runs execute in spawned
 children with single-threaded BLAS, as ``reachrl train`` runs them, so two
 checkouts whose training numerics agree print the same lines.
 
@@ -24,7 +25,7 @@ pairs must be equal.  BLAS is pinned to one thread before numpy loads, so
 the in-process ``--parallel 1`` study runs as the spawned workers do.
 
 Last, it trains the PPO run again with ``--parallel 1`` and prints its seed
-hashes, which must equal those of the first PPO run (default ``--parallel``,
+lines, which must equal those of the first PPO run (default ``--parallel``,
 the usable cores up to 2).
 
     PYTHONPATH=src python scripts/artifact_hashes.py
@@ -32,6 +33,7 @@ the usable cores up to 2).
 
 import contextlib
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -66,13 +68,19 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def print_seed_lines(label: str, exp_dir: Path) -> None:
+    for seed_path in sorted(exp_dir.glob("seed_*")):
+        for artifact in ("training_log.csv", "policy.json"):
+            print(f"{label} {seed_path.name} {artifact} {sha256(seed_path / artifact)}")
+        meta = json.loads((seed_path / "run_meta.json").read_text())
+        print(f"{label} {seed_path.name} run_meta.json seed={meta['seed']} status={meta['status']}")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as workspace:
         for exp_id, (name, args) in enumerate(RUNS, start=1):
             run_cli(name, ["train", *args, "--workspace", workspace])
-            for seed_path in sorted((Path(workspace) / f"exp_{exp_id}").glob("seed_*")):
-                for artifact in ("training_log.csv", "policy.json"):
-                    print(f"{name} {seed_path.name} {artifact} {sha256(seed_path / artifact)}")
+            print_seed_lines(name, Path(workspace) / f"exp_{exp_id}")
         for mode, flags in EVALUATIONS:
             run_cli("ppo", ["evaluate", "--exp-id", "1", "--log-episode", *flags,
                             "--workspace", workspace])
@@ -94,10 +102,7 @@ def main() -> int:
                 print(f"ppo tune parallel={parallel} {artifact} {sha256(study / artifact)}")
         name, args = RUNS[0]
         run_cli(name, ["train", *args, "--parallel", "1", "--workspace", workspace])
-        for seed_path in sorted((Path(workspace) / f"exp_{len(RUNS) + 1}").glob("seed_*")):
-            for artifact in ("training_log.csv", "policy.json"):
-                print(f"{name} parallel=1 {seed_path.name} {artifact} "
-                      f"{sha256(seed_path / artifact)}")
+        print_seed_lines(f"{name} parallel=1", Path(workspace) / f"exp_{len(RUNS) + 1}")
     return 0
 
 

@@ -19,7 +19,6 @@ vector or a (B, n_joints) batch, and never mutate their inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -203,28 +202,6 @@ def model_to_dict(model: ArmModel) -> dict:
         ],
         "tool": list(model.tool),
     }
-
-
-def model_from_dict(doc: dict) -> ArmModel:
-    joints = tuple(
-        JointSpec(
-            axis=tuple(j["axis"]),
-            link_offset=tuple(j["link_offset"]),
-            lower_limit=float(j["lower_limit"]),
-            upper_limit=float(j["upper_limit"]),
-            max_step=float(j["max_step"]),
-        )
-        for j in doc["joints"]
-    )
-    return ArmModel(name=doc["name"], joints=joints, tool=tuple(doc.get("tool", (0.0, 0.0, 0.0))))
-
-
-def model_to_json(model: ArmModel) -> str:
-    return json.dumps(model_to_dict(model), indent=2) + "\n"
-
-
-def model_from_json(text: str) -> ArmModel:
-    return model_from_dict(json.loads(text))
 
 
 _X = (1.0, 0.0, 0.0)

@@ -57,8 +57,13 @@ def _default_workspace() -> str:
 
 
 def _parallelism(requested: int | None, cap: int) -> int:
-    """``--parallel`` as given, else the cores this process may run on, at most ``cap``."""
+    """``--parallel`` as given, else the cores this process may run on, at most ``cap``.
+
+    Called before the command claims an ID, so a bad value leaves nothing behind.
+    """
     if requested is not None:
+        if requested < 1:
+            raise ValidationError(f"parallel must be >= 1, got {requested}")
         return requested
     if hasattr(os, "sched_getaffinity"):  # not on every platform, macOS for one
         cores = len(os.sched_getaffinity(0))
@@ -154,15 +159,14 @@ def cmd_train(args) -> int:
     from .experiment import STATUS_COMPLETE, create_experiment, run_experiment
 
     workspace = Path(args.workspace)
+    parallelism = _parallelism(args.parallel, args.n_seeds)
     record = create_experiment(
         workspace, args.algo, args.env, args.n_timesteps, args.n_seeds,
         base_seed=args.base_seed, hyperparams=_parse_hps(args.hp),
     )
     print(f"created experiment {record.exp_id} ({record.algo} on {record.env_id}, "
           f"{record.n_seeds} seeds x {record.n_timesteps} timesteps)")
-    record = run_experiment(
-        workspace, record.exp_id, parallelism=_parallelism(args.parallel, args.n_seeds)
-    )
+    record = run_experiment(workspace, record.exp_id, parallelism=parallelism)
     print(f"status: {record.status}")
     print(f"exp_id={record.exp_id}")
     return 0 if record.status == STATUS_COMPLETE else 2

@@ -406,18 +406,5 @@ def config_to_dict(config: EnvConfig) -> dict:
     }
 
 
-def config_from_dict(doc: dict) -> EnvConfig:
-    return EnvConfig(
-        env_id=doc["env_id"],
-        action_mode=ActionMode(doc["action_mode"]),
-        obs_mode=ObsMode(doc["obs_mode"]),
-        reward_type=RewardType(doc["reward_type"]),
-        episode_len=int(doc["episode_len"]),
-        goal_box=(tuple(doc["goal_box"][0]), tuple(doc["goal_box"][1])),
-        success_thresholds_mm=tuple(doc["success_thresholds_mm"]),
-        arm=arm.model_from_dict(doc["arm"]),
-    )
-
-
 def config_to_json(config: EnvConfig) -> str:
     return json.dumps(config_to_dict(config), separators=(",", ":"))

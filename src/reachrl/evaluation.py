@@ -29,16 +29,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import EVAL_SEED_OFFSET, PolicyArtifact, policy_from_json
+from .agents import EVAL_SEED_OFFSET, PolicyArtifact
 from .envs import EnvConfig, config_to_json, make_env, registry_lookup, run_episodes, success_flags
 from .errors import LifecycleError, ValidationError
 from .experiment import (
     ExperimentRecord,
     STATUS_COMPLETE,
-    SeedRun,
+    completed_seeds,
     exp_dir,
     load_experiment,
-    seed_dir,
+    load_seed_policy,
     seed_runs,
 )
 from .ioutil import atomic_write_text, csv_rows, csv_text, exclusive_lock, read_text
@@ -344,10 +344,10 @@ def evaluate_experiment(
     runs = seed_runs(workspace, record)
     per_seed = [
         evaluate_policy(
-            _load_seed_policy(workspace, exp_id, k), record.env_id, n_episodes, deterministic,
+            load_seed_policy(workspace, exp_id, k), record.env_id, n_episodes, deterministic,
             seed=record.base_seed + k + EVAL_SEED_OFFSET,
         )
-        for k in _completed_seeds(exp_id, runs)
+        for k in completed_seeds(exp_id, runs)
     ]
     metrics = aggregate_across_seeds(per_seed)
     append_benchmark_row(
@@ -357,19 +357,6 @@ def evaluate_experiment(
     return metrics, per_seed
 
 
-def _load_seed_policy(workspace: Path, exp_id: int, k: int) -> PolicyArtifact:
-    """The trained policy of seed run k."""
-    path = seed_dir(workspace, exp_id, k) / "policy.json"
-    return policy_from_json(path.read_bytes(), str(path))
-
-
-def _completed_seeds(exp_id: int, runs: list[SeedRun]) -> list[int]:
-    completed = [run.k for run in runs if run.status == "complete"]
-    if not completed:
-        raise ValidationError(f"experiment {exp_id} has no completed seed runs")
-    return completed
-
-
 def write_episode_log(workspace: Path, exp_id: int) -> tuple[EpisodeLog, Path]:
     """Log one episode of an experiment to ``exp_<id>/episode_eval.csv``.
 
@@ -377,9 +364,9 @@ def write_episode_log(workspace: Path, exp_id: int) -> tuple[EpisodeLog, Path]:
     run 0's first evaluation episode (base_seed + 3000).
     """
     record = load_experiment(workspace, exp_id)
-    k = _completed_seeds(exp_id, seed_runs(workspace, record))[0]
+    k = completed_seeds(exp_id, seed_runs(workspace, record))[0]
     log = log_episode(
-        _load_seed_policy(workspace, exp_id, k), record.env_id,
+        load_seed_policy(workspace, exp_id, k), record.env_id,
         seed=record.base_seed + EVAL_SEED_OFFSET,
     )
     path = exp_dir(workspace, exp_id) / "episode_eval.csv"

@@ -16,23 +16,30 @@ New experiment IDs are max(existing) + 1 (1 for an empty workspace), so an
 ID is only ever reused if the experiment with the largest ID is deleted.  The
 ID is claimed by creating ``exp_<id>/``; if another command got there first,
 the next free ID is taken instead.
-Seed runs are isolated (threads of control share nothing mutable); the
-orchestrator is the single writer of config.json.
+The command process writes every file under ``exp_<id>/``: a seed run's
+spawned worker only trains and returns its files' text, and the parent
+writes them as the run ends, ``run_meta.json`` last.  A worker orphaned by a
+killed command therefore leaves nothing behind.  This module is also the
+package's one reader of the seed files: the completed-seeds filter, the
+policies and the training logs.
 """
 
 from __future__ import annotations
 
-import re
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .agents import (
+    PolicyArtifact,
     TrainingLog,
     make_algo_config,
+    policy_from_json,
     policy_to_json,
     train,
+    training_log_from_csv,
     training_log_to_csv,
 )
 from .envs import registry_lookup
@@ -41,7 +48,9 @@ from .ioutil import (
     atomic_write_text,
     claim_numbered_dir,
     json_text,
+    numbered_dirs,
     read_json,
+    read_text,
     run_in_workers,
 )
 
@@ -86,15 +95,7 @@ def seed_dir(workspace: Path, exp_id: int, k: int) -> Path:
 
 
 def list_experiment_ids(workspace: Path) -> list[int]:
-    workspace = Path(workspace)
-    if not workspace.is_dir():
-        return []
-    ids = []
-    for child in workspace.iterdir():
-        match = re.fullmatch(r"exp_(\d+)", child.name)
-        if match and child.is_dir():
-            ids.append(int(match.group(1)))
-    return sorted(ids)
+    return numbered_dirs(workspace, "exp_")
 
 
 def record_to_json(record: ExperimentRecord) -> str:
@@ -148,8 +149,7 @@ def create_experiment(
     make_algo_config(algo, n_timesteps, hyperparams)  # raises on bad algo/hyperparams
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
-    existing = list_experiment_ids(workspace)
-    exp_id = claim_numbered_dir(workspace, "exp_", (existing[-1] + 1) if existing else 1)
+    exp_id = claim_numbered_dir(workspace, "exp_")
     record = ExperimentRecord(
         exp_id=exp_id,
         algo=algo,
@@ -165,43 +165,34 @@ def create_experiment(
     return record
 
 
-def _run_seed_task(exp_dir_str: str, k: int) -> dict:
-    """Train one seed run; module-level so spawned workers can unpickle it.
+def _run_seed(algo: str, env_id: str, seed: int, hyperparams: dict, n_timesteps: int) -> dict:
+    """Train one seed run and return its files as {name: text}, in the order
+    they are written: ``training_log.csv``, ``policy.json`` if training
+    completed, ``run_meta.json`` last.  Module-level, so spawned workers can
+    unpickle it; it opens no path.
 
-    Any exception from training is recorded: ``training_log.csv`` (the partial
-    log of a NumericError, else empty) and ``run_meta.json`` with status
-    "failed" and the error text.
+    Any exception from training is recorded: ``training_log.csv`` holds the
+    partial log of a NumericError, else no rows, and ``run_meta.json`` has
+    status "failed" and the error text.
     """
-    directory = Path(exp_dir_str)
-    doc = read_json(directory / "config.json")
-    seed = int(doc["base_seed"]) + k
-    config = make_algo_config(doc["algo"], int(doc["n_timesteps"]), doc["hyperparams"])
-    run_dir = directory / f"seed_{k}"
+    config = make_algo_config(algo, n_timesteps, hyperparams)
     start = time.perf_counter()
     error = None
     try:
-        artifact, log = train(doc["algo"], doc["env_id"], seed, config)
+        artifact, log = train(algo, env_id, seed, config)
         status = "complete"
     except Exception as err:
         artifact, log = None, (getattr(err, "training_log", None) or TrainingLog())
         status = "failed"
         error = f"{type(err).__name__}: {err}"
-    wall = time.perf_counter() - start
-    atomic_write_text(run_dir / "training_log.csv", training_log_to_csv(log))
-    if artifact is not None:
-        atomic_write_text(run_dir / "policy.json", policy_to_json(artifact))
-    meta = {"seed": seed, "wall_time_s": wall, "status": status}
+    meta = {"seed": seed, "wall_time_s": time.perf_counter() - start, "status": status}
     if error is not None:
         meta["error"] = error
-    atomic_write_text(run_dir / "run_meta.json", json_text(meta))
-    return {"k": k, "status": status, "wall_time_s": wall}
-
-
-def _run_seed_tasks(directory: str, n_seeds: int, parallelism: int) -> list[dict]:
-    """Execute every seed run in a spawned worker; single-threaded BLAS there makes
-    the artifacts independent of ``parallelism`` and of this process's threads."""
-    jobs = [(directory, k) for k in range(n_seeds)]
-    return [result for _, _, result, _ in run_in_workers(_run_seed_task, jobs, parallelism)]
+    files = {"training_log.csv": training_log_to_csv(log)}
+    if artifact is not None:
+        files["policy.json"] = policy_to_json(artifact)
+    files["run_meta.json"] = json_text(meta)
+    return files
 
 
 def run_experiment(
@@ -210,9 +201,9 @@ def run_experiment(
     """Run all seed runs (seeds base_seed + k), at most ``parallelism`` at once.
 
     Artifacts are byte-identical regardless of the schedule.  The experiment
-    ends Complete iff every seed run finishes; a failed run marks it Failed
-    but the other runs still complete.  An exception from the seed runs also
-    leaves it Failed, then propagates.
+    ends Complete iff every seed run returns a policy; a failed run marks it
+    Failed but the other runs still complete.  An exception from a seed run,
+    or from writing its files, also leaves it Failed, then propagates.
     """
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
@@ -223,10 +214,22 @@ def run_experiment(
         )
     record.status = STATUS_RUNNING
     save_record(workspace, record)
+    jobs = [
+        (record.algo, record.env_id, int(record.base_seed) + k, record.hyperparams,
+         int(record.n_timesteps))
+        for k in range(record.n_seeds)
+    ]
     record.status = STATUS_FAILED
     try:
-        results = _run_seed_tasks(str(exp_dir(workspace, exp_id)), record.n_seeds, parallelism)
-        if all(r["status"] == "complete" for r in results):
+        trained = 0
+        # Single-threaded BLAS in the workers makes the files independent of
+        # ``parallelism`` and of this process's threads.
+        with closing(run_in_workers(_run_seed, jobs, parallelism)) as runs:
+            for k, _, files, _ in runs:
+                for name, text in files.items():
+                    atomic_write_text(seed_dir(workspace, exp_id, k) / name, text)
+                trained += "policy.json" in files
+        if trained == record.n_seeds:
             record.status = STATUS_COMPLETE
     finally:
         save_record(workspace, record)
@@ -247,3 +250,23 @@ def seed_runs(workspace: Path, record: ExperimentRecord) -> list[SeedRun]:
         except (TypeError, ValueError):
             raise CorruptDataError(f"{path}: bad wall_time_s {meta['wall_time_s']!r}") from None
     return runs
+
+
+def completed_seeds(exp_id: int, runs: list[SeedRun]) -> list[int]:
+    """The k of every seed run that completed; ValidationError if none did."""
+    completed = [run.k for run in runs if run.status == "complete"]
+    if not completed:
+        raise ValidationError(f"experiment {exp_id} has no completed seed runs")
+    return completed
+
+
+def load_seed_policy(workspace: Path, exp_id: int, k: int) -> PolicyArtifact:
+    """The trained policy of seed run k; read as bytes, so non-UTF-8 is invalid."""
+    path = seed_dir(workspace, exp_id, k) / "policy.json"
+    return policy_from_json(path.read_bytes(), str(path))
+
+
+def load_training_log(workspace: Path, exp_id: int, k: int) -> TrainingLog:
+    """The training log of seed run k."""
+    path = seed_dir(workspace, exp_id, k) / "training_log.csv"
+    return training_log_from_csv(read_text(path), str(path))

@@ -23,7 +23,6 @@ byte-identical for every P.
 from __future__ import annotations
 
 import functools
-import re
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -218,17 +217,6 @@ def training_trial_runner(
     return dict(values).get(checkpoint_steps[-1])
 
 
-def _next_study_id(studies_root: Path) -> int:
-    if not studies_root.is_dir():
-        return 1
-    ids = [
-        int(m.group(1))
-        for child in studies_root.iterdir()
-        if (m := re.fullmatch(r"study_(\d+)", child.name)) and child.is_dir()
-    ]
-    return max(ids, default=0) + 1
-
-
 def trials_to_csv(trials: list[Trial], dimension_names: list[str]) -> str:
     return csv_text(
         ["trial_id", "state", "final_value", *dimension_names, "pruned_at_step"],
@@ -350,7 +338,7 @@ def run_study(
     best = max(complete, key=lambda t: t.final_value)
 
     studies_root = Path(workspace) / "studies"
-    study_id = claim_numbered_dir(studies_root, "study_", _next_study_id(studies_root))
+    study_id = claim_numbered_dir(studies_root, "study_")
     study_dir = studies_root / f"study_{study_id}"
     atomic_write_text(study_dir / "trials.csv", trials_to_csv(trials, list(space)))
     atomic_write_text(study_dir / "best_config.json", json_text(best.config))

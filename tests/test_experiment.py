@@ -9,6 +9,7 @@ from multiprocessing import get_context
 import pytest
 
 import reachrl.experiment as experiment
+import reachrl.ioutil as ioutil
 from reachrl.cli import main as cli_main
 from reachrl.errors import (
     CorruptDataError,
@@ -145,6 +146,12 @@ def test_parallelism_does_not_change_artifacts(tmp_path):
             assert a == b, f"seed {k} {name} differs between parallelism levels"
 
 
+def run_in_process(task, jobs, parallel):
+    """Stands in for ``ioutil.run_in_workers``, so that monkeypatches reach the jobs."""
+    for i, job in enumerate(jobs):
+        yield i, "end", task(*job), None
+
+
 def test_failed_seed_marks_experiment_failed_but_others_complete(tmp_path, monkeypatch):
     real_train = experiment.train
 
@@ -154,13 +161,7 @@ def test_failed_seed_marks_experiment_failed_but_others_complete(tmp_path, monke
         return real_train(algo, env_id, seed, config, **kwargs)
 
     monkeypatch.setattr(experiment, "train", failing_train)
-    # run in-process so the monkeypatch reaches the seed tasks
-    monkeypatch.setattr(
-        experiment, "_run_seed_tasks",
-        lambda directory, n_seeds, parallelism: [
-            experiment._run_seed_task(directory, k) for k in range(n_seeds)
-        ],
-    )
+    monkeypatch.setattr(experiment, "run_in_workers", run_in_process)
     record = create_experiment(tmp_path, "random", "reach-planar-v1", 200, 3)
     record = run_experiment(tmp_path, record.exp_id)
     assert record.status == STATUS_FAILED
@@ -172,23 +173,24 @@ def test_failed_seed_marks_experiment_failed_but_others_complete(tmp_path, monke
 
 def test_crashed_seed_task_marks_experiment_failed(tmp_path):
     record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
-    # a file where seed 1's run directory belongs makes its task raise
+    # a file where seed 1's run directory belongs makes writing its files raise
     seed_dir(tmp_path, record.exp_id, 1).write_text("blocked")
     with pytest.raises(OSError):
-        run_experiment(tmp_path, record.exp_id)
+        run_experiment(tmp_path, record.exp_id, parallelism=2)
     assert load_experiment(tmp_path, record.exp_id).status == STATUS_FAILED
+    assert multiprocessing.active_children() == []
 
 
-def exit_in_seed_1(exp_dir_str, k):
-    """Stands in for ``experiment._run_seed_task``: the worker running seed 1
-    dies mid-job.  Module-level, so that spawned workers can unpickle it."""
-    if k == 1:
+def exit_in_seed_1(algo, env_id, seed, hyperparams, n_timesteps):
+    """Stands in for ``experiment._run_seed``: the worker running seed 1 dies
+    mid-job.  Module-level, so that spawned workers can unpickle it."""
+    if seed == 1:
         os._exit(9)
-    return experiment._run_seed_task(exp_dir_str, k)
+    return experiment._run_seed(algo, env_id, seed, hyperparams, n_timesteps)
 
 
 def test_seed_worker_that_exits_fails_the_experiment(tmp_path, monkeypatch):
-    monkeypatch.setattr(experiment, "_run_seed_task", exit_in_seed_1)
+    monkeypatch.setattr(experiment, "_run_seed", exit_in_seed_1)
     record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
     with pytest.raises(ReachError, match="the worker running job 1 exited"):
         run_experiment(tmp_path, record.exp_id, parallelism=2)
@@ -200,10 +202,10 @@ def test_seed_worker_that_cannot_start_fails_the_experiment(tmp_path, monkeypatc
     # A task whose module exists only in this process: workers cannot unpickle
     # it, so each one exits before it reads its job.
     module = types.ModuleType("module_missing_in_workers")
-    module.task = lambda exp_dir_str, k: None
+    module.task = lambda algo, env_id, seed, hyperparams, n_timesteps: None
     module.task.__module__, module.task.__qualname__ = module.__name__, "task"
     monkeypatch.setitem(sys.modules, module.__name__, module)
-    monkeypatch.setattr(experiment, "_run_seed_task", module.task)
+    monkeypatch.setattr(experiment, "_run_seed", module.task)
     record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
     with pytest.raises(ReachError, match="the worker running job [01] exited"):
         run_experiment(tmp_path, record.exp_id, parallelism=2)
@@ -212,7 +214,7 @@ def test_seed_worker_that_cannot_start_fails_the_experiment(tmp_path, monkeypatc
 
 
 def test_train_exits_two_without_traceback_when_a_seed_worker_exits(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(experiment, "_run_seed_task", exit_in_seed_1)
+    monkeypatch.setattr(experiment, "_run_seed", exit_in_seed_1)
     code = cli_main(["train", "--algo", "random", "--env", "reach-planar-v1",
                      "--n-timesteps", "100", "--n-seeds", "2", "--parallel", "2",
                      "--workspace", str(tmp_path)])
@@ -224,20 +226,24 @@ def test_train_exits_two_without_traceback_when_a_seed_worker_exits(tmp_path, mo
     assert multiprocessing.active_children() == []
 
 
-def test_seed_task_records_any_training_exception(tmp_path, monkeypatch):
+def test_seed_task_records_any_training_exception(monkeypatch):
     def crashing_train(algo, env_id, seed, config=None, **kwargs):
         raise RuntimeError("worker crashed")
 
     monkeypatch.setattr(experiment, "train", crashing_train)
-    record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 1)
-    result = experiment._run_seed_task(str(exp_dir(tmp_path, record.exp_id)), 0)
-    assert result["status"] == "failed"
-    assert {run.k: run.status for run in seed_runs(tmp_path, record)} == {0: "failed"}
-    run = seed_dir(tmp_path, record.exp_id, 0)
-    meta = json.loads((run / "run_meta.json").read_text())
+    files = experiment._run_seed("random", "reach-planar-v1", 0, {}, 100)
+    assert list(files) == ["training_log.csv", "run_meta.json"]
+    meta = json.loads(files["run_meta.json"])
+    assert (meta["seed"], meta["status"]) == (0, "failed")
     assert meta["error"] == "RuntimeError: worker crashed"
-    assert (run / "training_log.csv").read_text() == "timestep,episode,episode_return,episode_final_distance_m\n"
-    assert not (run / "policy.json").exists()
+    assert files["training_log.csv"] == "timestep,episode,episode_return,episode_final_distance_m\n"
+
+
+def test_run_seed_returns_its_files_in_writing_order():
+    files = experiment._run_seed("random", "reach-planar-v1", 3, {}, 100)
+    assert list(files) == ["training_log.csv", "policy.json", "run_meta.json"]
+    meta = json.loads(files["run_meta.json"])
+    assert (meta["seed"], meta["status"]) == (3, "complete")
 
 
 def test_seed_runs_reads_status_and_wall_time_and_marks_missing_runs(tmp_path):
@@ -268,7 +274,7 @@ def test_malformed_run_meta_is_corrupt_data_naming_the_file(tmp_path, data, prob
 
 def test_experiment_id_taken_after_listing_moves_to_next(tmp_path, monkeypatch):
     # As if another command claimed exp_1 between the listing and the write.
-    monkeypatch.setattr(experiment, "list_experiment_ids", lambda workspace: [])
+    monkeypatch.setattr(ioutil, "numbered_dirs", lambda root, prefix: [])
     first = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 1)
     second = create_experiment(tmp_path, "ppo", "reach-v1", 200, 2)
     assert (first.exp_id, second.exp_id) == (1, 2)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reachrl.hypertune as hypertune
+import reachrl.ioutil as ioutil
 from reachrl.errors import NumericError, ValidationError
 from reachrl.hypertune import (
     Categorical,
@@ -215,7 +216,7 @@ def test_study_ids_increment(tmp_path):
 
 def test_study_id_taken_after_listing_moves_to_next(tmp_path, monkeypatch):
     # As if another study claimed study_1 between the listing and the write.
-    monkeypatch.setattr(hypertune, "_next_study_id", lambda studies_root: 1)
+    monkeypatch.setattr(ioutil, "numbered_dirs", lambda root, prefix: [])
     space = {"lr": Uniform(0.1, 1.0)}
     first = run_study(tmp_path, "ppo", "reach-planar-v1", space, 1, 100, 1, 0, lr_stub_runner)
     second = run_study(tmp_path, "ppo", "reach-planar-v1", space, 1, 100, 1, 7, lr_stub_runner)
