@@ -12,9 +12,11 @@ children with single-threaded BLAS, as ``reachrl train`` runs them, so two
 checkouts whose training numerics agree print the same lines.
 
 It then evaluates the PPO experiment with ``--log-episode``, once
-deterministically and once with ``--stochastic``, and prints its
-``benchmark.csv`` row after each (without ``train_walltime_s``, which is a
-wall time) and the hashes of ``episode_eval.csv`` and ``episode_panels.svg``.
+deterministically and once with ``--stochastic``, and prints after each the
+hash of the command's stdout (with the temporary workspace path replaced by
+``<workspace>``), its ``benchmark.csv`` row (without ``train_walltime_s``,
+which is a wall time) and the hashes of ``episode_eval.csv`` and
+``episode_panels.svg``.
 Then it runs ``plot --exp-id 1`` and ``benchmark --exp-ids 1 --metric
 mean_return`` and prints the hashes of the figures and their data sidecars.
 
@@ -33,6 +35,7 @@ the usable cores up to 2).
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -57,11 +60,15 @@ TUNE = ["--algo", "ppo", "--env", "reach-v1", "--n-trials", "6",
         "--timesteps-per-trial", "256", "--checkpoints", "2"]
 
 
-def run_cli(name: str, args: list[str]) -> None:
-    with contextlib.redirect_stdout(sys.stderr):
+def run_cli(name: str, args: list[str]) -> str:
+    """Run one command and return its stdout, which is also copied to stderr."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = cli(args)
+    sys.stderr.write(out.getvalue())
     if code != 0:
         raise SystemExit(f"{name}: {args[0]} exited with code {code}")
+    return out.getvalue()
 
 
 def sha256(path: Path) -> str:
@@ -82,8 +89,10 @@ def main() -> int:
             run_cli(name, ["train", *args, "--workspace", workspace])
             print_seed_lines(name, Path(workspace) / f"exp_{exp_id}")
         for mode, flags in EVALUATIONS:
-            run_cli("ppo", ["evaluate", "--exp-id", "1", "--log-episode", *flags,
-                            "--workspace", workspace])
+            stdout = run_cli("ppo", ["evaluate", "--exp-id", "1", "--log-episode", *flags,
+                                     "--workspace", workspace])
+            stdout = stdout.replace(workspace, "<workspace>").encode()
+            print(f"ppo evaluate {mode} stdout {hashlib.sha256(stdout).hexdigest()}")
             row = read_benchmark(Path(workspace))[0]
             del row["train_walltime_s"]
             print(f"ppo evaluate {mode} benchmark.csv {','.join(map(str, row.values()))}")

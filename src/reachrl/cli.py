@@ -173,27 +173,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .evaluation import evaluate_experiment, write_episode_log
+    from .evaluation import METRIC_COLUMNS, evaluate_experiment, write_episode_log
 
     workspace = Path(args.workspace)
-    metrics, _ = evaluate_experiment(
+    row, _ = evaluate_experiment(
         workspace, args.exp_id, n_episodes=args.n_eval_episodes,
         deterministic=not args.stochastic, allow_partial=args.allow_partial,
     )
-    fields = [
-        ("mean_return", metrics.mean_return),
-        ("std_return", metrics.std_return),
-        ("success_ratio_5mm", metrics.success_ratios[0]),
-        ("success_ratio_10mm", metrics.success_ratios[1]),
-        ("success_ratio_20mm", metrics.success_ratios[2]),
-        ("success_ratio_50mm", metrics.success_ratios[3]),
-        ("mean_final_distance_mm", metrics.mean_final_distance_mm),
-        ("n_episodes_per_seed", metrics.n_episodes),
-        ("n_seeds", metrics.n_seeds),
-    ]
-    for name, value in fields:
-        text = f"{value:.6g}" if isinstance(value, float) else str(value)
-        print(f"{name:<24} {text}")
+    # The printed order is the command's output format: floats, then the counts.
+    floats = [name for name, cast in METRIC_COLUMNS if cast is float]
+    counts = [name for name, cast in reversed(METRIC_COLUMNS) if cast is int]
+    for name in floats + counts:
+        label = "n_episodes_per_seed" if name == "n_eval_episodes" else name
+        text = f"{row[name]:.6g}" if name in floats else str(row[name])
+        print(f"{label:<24} {text}")
     if args.log_episode:
         from .report import emit_episode_panels
 

@@ -2,10 +2,12 @@
 
 Evaluation reruns fresh episodes with explicitly seeded goals (episode k is
 seeded with seed + k), aggregates metrics across seed runs, and upserts one
-row per experiment into the append-only ``benchmark.csv``.  The episode log
-captures the per-step quantities useful for debugging a new environment:
-joint angles, end-effector and goal positions, action, reward, distance and
-its finite differences.
+row per experiment into ``benchmark.csv`` (a re-evaluation replaces the
+experiment's row).  That row is the evaluation's record, and
+``BENCHMARK_COLUMNS`` names its columns once.  The episode log captures the
+per-step quantities useful for debugging a new environment: joint angles,
+end-effector and goal positions, action, reward, distance and its finite
+differences.
 
 The episodes of one evaluation run in lockstep as the rows of one
 ``envs.EnvInstance``, in chunks of at most ``EVAL_CHUNK_EPISODES``: one
@@ -126,22 +128,32 @@ def _run_lockstep(policy, config, seeds, deterministic, act_rng, goal_override, 
     return records
 
 
-@dataclass
-class EvalMetrics:
-    mean_return: float
-    std_return: float
-    success_ratios: tuple[float, ...]  # one per threshold, monotone non-decreasing
-    mean_final_distance_mm: float
-    n_episodes: int  # per seed
-    n_seeds: int
+# The columns of ``benchmark.csv`` as (name, type read back), in file order.
+# The metric columns are what ``aggregate_across_seeds`` returns;
+# ``metrics_to_benchmark_row`` adds the experiment's columns around them.
+METRIC_COLUMNS = (
+    ("n_seeds", int), ("n_eval_episodes", int),  # episodes per seed
+    ("mean_return", float), ("std_return", float),
+    ("success_ratio_5mm", float), ("success_ratio_10mm", float),
+    ("success_ratio_20mm", float), ("success_ratio_50mm", float),
+    ("mean_final_distance_mm", float),
+)
+BENCHMARK_COLUMNS = (
+    ("exp_id", int), ("env_id", str), ("algo", str), ("n_timesteps", int),
+    *METRIC_COLUMNS,
+    ("train_walltime_s", float), ("env_config_json", str), ("hyperparams_json", str),
+)
+BENCHMARK_HEADER = [name for name, _ in BENCHMARK_COLUMNS]
+BENCHMARK_NUMERIC_METRICS = tuple(name for name, cast in BENCHMARK_COLUMNS if cast is not str)
 
 
-def aggregate_across_seeds(per_seed: list[list[EpisodeRecord]]) -> EvalMetrics:
-    """Seed-averaged metrics.
+def aggregate_across_seeds(per_seed: list[list[EpisodeRecord]]) -> dict:
+    """Seed-averaged metrics, keyed by their ``METRIC_COLUMNS`` names.
 
     mean_return averages over all (seed, episode) pairs; std_return is the
     population standard deviation of the per-seed mean returns (0.0 for a
-    single seed, by construction).
+    single seed, by construction).  The success ratios, one per threshold,
+    never decrease.
     """
     if not per_seed or any(not records for records in per_seed):
         raise ValidationError("need at least one seed with at least one episode")
@@ -152,19 +164,19 @@ def aggregate_across_seeds(per_seed: list[list[EpisodeRecord]]) -> EvalMetrics:
     seed_means = np.array(
         [np.mean([r.episode_return for r in records]) for records in per_seed]
     )
-    n_thresholds = len(all_records[0].success_flags)
-    ratios = tuple(
+    ratios = (
         float(np.mean([r.success_flags[i] for r in all_records]))
-        for i in range(n_thresholds)
+        for i in range(len(all_records[0].success_flags))
     )
-    return EvalMetrics(
-        mean_return=float(np.mean([r.episode_return for r in all_records])),
-        std_return=float(np.std(seed_means)),
-        success_ratios=ratios,
-        mean_final_distance_mm=float(np.mean([r.final_distance_m for r in all_records]) * 1e3),
-        n_episodes=len(per_seed[0]),
-        n_seeds=len(per_seed),
+    values = (
+        len(per_seed),
+        len(per_seed[0]),
+        float(np.mean([r.episode_return for r in all_records])),
+        float(np.std(seed_means)),
+        *ratios,
+        float(np.mean([r.final_distance_m for r in all_records]) * 1e3),
     )
+    return dict(zip((name for name, _ in METRIC_COLUMNS), values, strict=True))
 
 
 @dataclass
@@ -242,21 +254,6 @@ def episode_log_to_csv(log: EpisodeLog) -> str:
     return csv_text(episode_log_header(log.n_joints), rows)
 
 
-BENCHMARK_HEADER = [
-    "exp_id", "env_id", "algo", "n_timesteps", "n_seeds", "n_eval_episodes",
-    "mean_return", "std_return",
-    "success_ratio_5mm", "success_ratio_10mm", "success_ratio_20mm", "success_ratio_50mm",
-    "mean_final_distance_mm", "train_walltime_s", "env_config_json", "hyperparams_json",
-]
-
-# One per BENCHMARK_HEADER column: the 8 floats run from mean_return to train_walltime_s.
-_BENCHMARK_TYPES = (int, str, str, int, int, int) + (float,) * 8 + (str, str)
-
-BENCHMARK_NUMERIC_METRICS = tuple(
-    c for c, cast in zip(BENCHMARK_HEADER, _BENCHMARK_TYPES) if cast is not str
-)
-
-
 def benchmark_rows_to_csv(rows: list[dict]) -> str:
     return csv_text(
         BENCHMARK_HEADER,
@@ -265,10 +262,9 @@ def benchmark_rows_to_csv(rows: list[dict]) -> str:
 
 
 def benchmark_rows_from_csv(text: str, path: str = "benchmark.csv") -> list[dict]:
-    return [
-        dict(zip(BENCHMARK_HEADER, cells))
-        for cells in csv_rows(text, BENCHMARK_HEADER, _BENCHMARK_TYPES, path)
-    ]
+    types = [cast for _, cast in BENCHMARK_COLUMNS]
+    rows = csv_rows(text, BENCHMARK_HEADER, types, path)
+    return [dict(zip(BENCHMARK_HEADER, cells)) for cells in rows]
 
 
 def read_benchmark(workspace: Path) -> list[dict]:
@@ -279,47 +275,32 @@ def read_benchmark(workspace: Path) -> list[dict]:
 
 
 def metrics_to_benchmark_row(
-    metrics: EvalMetrics, record: ExperimentRecord, train_walltime_s: float
+    metrics: dict, record: ExperimentRecord, train_walltime_s: float
 ) -> dict:
-    config = registry_lookup(record.env_id)
+    """The ``benchmark.csv`` row of an evaluation: its metrics and the experiment's columns."""
     return {
         "exp_id": record.exp_id,
         "env_id": record.env_id,
         "algo": record.algo,
         "n_timesteps": record.n_timesteps,
-        "n_seeds": metrics.n_seeds,
-        "n_eval_episodes": metrics.n_episodes,
-        "mean_return": metrics.mean_return,
-        "std_return": metrics.std_return,
-        "success_ratio_5mm": metrics.success_ratios[0],
-        "success_ratio_10mm": metrics.success_ratios[1],
-        "success_ratio_20mm": metrics.success_ratios[2],
-        "success_ratio_50mm": metrics.success_ratios[3],
-        "mean_final_distance_mm": metrics.mean_final_distance_mm,
+        **metrics,
         "train_walltime_s": train_walltime_s,
-        "env_config_json": config_to_json(config),
+        "env_config_json": config_to_json(registry_lookup(record.env_id)),
         "hyperparams_json": json.dumps(record.hyperparams, separators=(",", ":")),
     }
 
 
-def append_benchmark_row(
-    workspace: Path,
-    exp_id: int,
-    metrics: EvalMetrics,
-    record: ExperimentRecord,
-    train_walltime_s: float = 0.0,
-) -> None:
-    """Insert-or-replace the benchmark row for one experiment (keyed on exp_id).
+def append_benchmark_row(workspace: Path, row: dict) -> None:
+    """Insert-or-replace ``row`` in ``benchmark.csv`` (keyed on its exp_id).
 
     Holds an exclusive advisory lock for the read-modify-write, so concurrent
     evaluators serialize instead of clobbering each other.
     """
     workspace = Path(workspace)
     path = workspace / "benchmark.csv"
-    new_row = metrics_to_benchmark_row(metrics, record, train_walltime_s)
     with exclusive_lock(workspace / "benchmark.csv.lock"):
         rows = benchmark_rows_from_csv(read_text(path), str(path)) if path.is_file() else []
-        rows = [r for r in rows if r["exp_id"] != exp_id] + [new_row]
+        rows = [r for r in rows if r["exp_id"] != row["exp_id"]] + [row]
         atomic_write_text(path, benchmark_rows_to_csv(rows))
 
 
@@ -329,8 +310,9 @@ def evaluate_experiment(
     n_episodes: int = 100,
     deterministic: bool = True,
     allow_partial: bool = False,
-) -> tuple[EvalMetrics, list[list[EpisodeRecord]]]:
-    """Evaluate every completed seed run of an experiment and aggregate.
+) -> tuple[dict, list[list[EpisodeRecord]]]:
+    """Evaluate every completed seed run of an experiment, aggregate, and
+    upsert the result; return its ``benchmark.csv`` row and the episodes.
 
     The eval env for seed run k is seeded with base_seed + k + 3000 (a fixed
     offset away from all training streams).
@@ -349,12 +331,11 @@ def evaluate_experiment(
         )
         for k in completed_seeds(exp_id, runs)
     ]
-    metrics = aggregate_across_seeds(per_seed)
-    append_benchmark_row(
-        workspace, exp_id, metrics, record,
-        train_walltime_s=sum(run.wall_time_s for run in runs),
+    row = metrics_to_benchmark_row(
+        aggregate_across_seeds(per_seed), record, sum(run.wall_time_s for run in runs)
     )
-    return metrics, per_seed
+    append_benchmark_row(workspace, row)
+    return row, per_seed
 
 
 def write_episode_log(workspace: Path, exp_id: int) -> tuple[EpisodeLog, Path]:

@@ -12,6 +12,10 @@ The filesystem is the registry: a workspace directory holds one
         seed_0/run_meta.json
       benchmark.csv
 
+An experiment runs once: its status goes Created -> Running -> Complete or
+Failed, and ``run_experiment`` refuses any status but Created, so a seed
+directory only ever holds the files of its one run.
+
 New experiment IDs are max(existing) + 1 (1 for an empty workspace), so an
 ID is only ever reused if the experiment with the largest ID is deleted.  The
 ID is claimed by creating ``exp_<id>/``; if another command got there first,
@@ -195,10 +199,11 @@ def _run_seed(algo: str, env_id: str, seed: int, hyperparams: dict, n_timesteps:
     return files
 
 
-def run_experiment(
-    workspace: Path, exp_id: int, parallelism: int = 1, overwrite: bool = False
-) -> ExperimentRecord:
+def run_experiment(workspace: Path, exp_id: int, parallelism: int = 1) -> ExperimentRecord:
     """Run all seed runs (seeds base_seed + k), at most ``parallelism`` at once.
+
+    Only a Created experiment runs; any other status raises LifecycleError
+    before anything is written.
 
     Artifacts are byte-identical regardless of the schedule.  The experiment
     ends Complete iff every seed run returns a policy; a failed run marks it
@@ -208,10 +213,8 @@ def run_experiment(
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
     record = load_experiment(workspace, exp_id)
-    if record.status == STATUS_COMPLETE and not overwrite:
-        raise LifecycleError(
-            f"experiment {exp_id} is already Complete; pass overwrite to rerun"
-        )
+    if record.status != STATUS_CREATED:
+        raise LifecycleError(f"experiment {exp_id} is {record.status}; only a Created one can run")
     record.status = STATUS_RUNNING
     save_record(workspace, record)
     jobs = [

@@ -120,6 +120,38 @@ def test_evaluate_writes_benchmark_row(tmp_path, capsys):
     assert len(read_benchmark(tmp_path)) == 1
 
 
+# (printed label, benchmark.csv column) in the order evaluate prints them,
+# which is the order perfbench's check_evaluate parses.
+EVALUATE_LINES = (
+    ("mean_return", "mean_return"),
+    ("std_return", "std_return"),
+    ("success_ratio_5mm", "success_ratio_5mm"),
+    ("success_ratio_10mm", "success_ratio_10mm"),
+    ("success_ratio_20mm", "success_ratio_20mm"),
+    ("success_ratio_50mm", "success_ratio_50mm"),
+    ("mean_final_distance_mm", "mean_final_distance_mm"),
+    ("n_episodes_per_seed", "n_eval_episodes"),
+    ("n_seeds", "n_seeds"),
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["--stochastic"]], ids=["deterministic", "stochastic"])
+def test_evaluate_prints_the_benchmark_row(tmp_path, capsys, flags):
+    run(["train", "--algo", "random", "--env", "reach-planar-v1",
+         "--n-timesteps", "200", "--n-seeds", "2", "--workspace", str(tmp_path)])
+    capsys.readouterr()
+    assert run(["evaluate", "--exp-id", "1", "--n-eval-episodes", "5", *flags,
+                "--workspace", str(tmp_path)]) == 0
+    [row] = read_benchmark(tmp_path)
+    expected = []
+    for label, column in EVALUATE_LINES:
+        value = row[column]
+        text = str(value) if column in ("n_eval_episodes", "n_seeds") else f"{value:.6g}"
+        expected.append(f"{label:<24} {text}")
+    assert capsys.readouterr().out.splitlines() == expected
+    assert (row["n_eval_episodes"], row["n_seeds"]) == (5, 2)
+
+
 def test_evaluate_missing_experiment(tmp_path, capsys):
     assert run(["evaluate", "--exp-id", "999", "--workspace", str(tmp_path)]) == 1
 

@@ -12,8 +12,8 @@ from reachrl.envs import make_env, registered_env_ids, registry_lookup, success_
 from reachrl.errors import CorruptDataError, ValidationError
 from reachrl.evaluation import (
     BENCHMARK_HEADER,
+    METRIC_COLUMNS,
     EpisodeRecord,
-    EvalMetrics,
     aggregate_across_seeds,
     append_benchmark_row,
     benchmark_rows_from_csv,
@@ -151,6 +151,9 @@ def test_chunked_evaluation_matches_one_batch(monkeypatch):
         assert_matches_reference(chunked, reference_evaluate(policy, env_id, 10, False, seed=3))
 
 
+SUCCESS_COLUMNS = ("success_ratio_5mm", "success_ratio_10mm", "success_ratio_20mm", "success_ratio_50mm")
+
+
 def test_aggregate_hand_example():
     per_seed = [
         [EpisodeRecord(1.0, 0.01, (True, True, True, True))],
@@ -158,17 +161,18 @@ def test_aggregate_hand_example():
         [EpisodeRecord(3.0, 0.03, (False, False, True, True))],
     ]
     metrics = aggregate_across_seeds(per_seed)
-    assert metrics.mean_return == pytest.approx(2.0)
-    assert metrics.std_return == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
-    assert metrics.success_ratios == pytest.approx((1 / 3, 2 / 3, 1.0, 1.0))
-    assert metrics.mean_final_distance_mm == pytest.approx(20.0)
-    assert metrics.n_seeds == 3 and metrics.n_episodes == 1
+    assert list(metrics) == [name for name, _ in METRIC_COLUMNS]
+    assert metrics["mean_return"] == pytest.approx(2.0)
+    assert metrics["std_return"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
+    assert [metrics[name] for name in SUCCESS_COLUMNS] == pytest.approx((1 / 3, 2 / 3, 1.0, 1.0))
+    assert metrics["mean_final_distance_mm"] == pytest.approx(20.0)
+    assert metrics["n_seeds"] == 3 and metrics["n_eval_episodes"] == 1
 
 
 def test_aggregate_single_seed_zero_std():
     per_seed = [[EpisodeRecord(1.5, 0.1, (False,) * 4), EpisodeRecord(2.5, 0.2, (False,) * 4)]]
     metrics = aggregate_across_seeds(per_seed)
-    assert metrics.std_return == 0.0
+    assert metrics["std_return"] == 0.0
 
 
 def test_aggregate_matches_flat_loop_oracle():
@@ -203,11 +207,11 @@ def test_aggregate_matches_flat_loop_oracle():
         seed_means.append(acc / len(records))
     mean = total / count
     var = sum((m - sum(seed_means) / len(seed_means)) ** 2 for m in seed_means) / len(seed_means)
-    assert metrics.mean_return == pytest.approx(mean, abs=1e-12)
-    assert metrics.std_return == pytest.approx(math.sqrt(var), abs=1e-12)
-    for i in range(4):
-        assert metrics.success_ratios[i] == pytest.approx(flag_totals[i] / count, abs=1e-12)
-    assert metrics.mean_final_distance_mm == pytest.approx(dist_total / count * 1e3, abs=1e-9)
+    assert metrics["mean_return"] == pytest.approx(mean, abs=1e-12)
+    assert metrics["std_return"] == pytest.approx(math.sqrt(var), abs=1e-12)
+    for i, name in enumerate(SUCCESS_COLUMNS):
+        assert metrics[name] == pytest.approx(flag_totals[i] / count, abs=1e-12)
+    assert metrics["mean_final_distance_mm"] == pytest.approx(dist_total / count * 1e3, abs=1e-9)
 
 
 def test_aggregate_rejects_empty_and_ragged():
@@ -269,12 +273,19 @@ def test_episode_log_csv_header_and_rows():
     assert episode_log_header(6)[1:7] == ["q1", "q2", "q3", "q4", "q5", "q6"]
 
 
-def make_metrics(mean_return=1.0):
-    return EvalMetrics(
-        mean_return=mean_return, std_return=0.5,
-        success_ratios=(0.0, 0.25, 0.5, 1.0),
-        mean_final_distance_mm=12.5, n_episodes=10, n_seeds=2,
-    )
+def make_metrics(mean_return=1.0, std_return=0.5, ratios=(0.0, 0.25, 0.5, 1.0),
+                 mean_final_distance_mm=12.5, n_eval_episodes=10, n_seeds=2):
+    return {
+        "n_seeds": n_seeds, "n_eval_episodes": n_eval_episodes,
+        "mean_return": mean_return, "std_return": std_return,
+        **dict(zip(SUCCESS_COLUMNS, ratios)),
+        "mean_final_distance_mm": mean_final_distance_mm,
+    }
+
+
+def make_row(exp_id, mean_return=1.0):
+    """The benchmark row of a made-up evaluation of experiment ``exp_id``."""
+    return metrics_to_benchmark_row(make_metrics(mean_return), make_record(exp_id), 0.0)
 
 
 def make_record(exp_id, env_id="reach-v1"):
@@ -286,23 +297,23 @@ def make_record(exp_id, env_id="reach-v1"):
 
 
 def test_benchmark_created_with_header_and_one_row(tmp_path):
-    append_benchmark_row(tmp_path, 1, make_metrics(), make_record(1))
+    append_benchmark_row(tmp_path, make_row(1))
     lines = (tmp_path / "benchmark.csv").read_text().strip().split("\n")
     assert lines[0] == ",".join(BENCHMARK_HEADER)
     assert len(lines) == 2
 
 
 def test_benchmark_upsert_is_idempotent(tmp_path):
-    append_benchmark_row(tmp_path, 3, make_metrics(1.0), make_record(3))
-    append_benchmark_row(tmp_path, 3, make_metrics(2.0), make_record(3))
+    append_benchmark_row(tmp_path, make_row(3, 1.0))
+    append_benchmark_row(tmp_path, make_row(3, 2.0))
     rows = read_benchmark(tmp_path)
     assert len(rows) == 1
     assert rows[0]["mean_return"] == 2.0
 
 
 def test_benchmark_rows_sorted_by_exp_id(tmp_path):
-    append_benchmark_row(tmp_path, 5, make_metrics(), make_record(5))
-    append_benchmark_row(tmp_path, 2, make_metrics(), make_record(2))
+    append_benchmark_row(tmp_path, make_row(5))
+    append_benchmark_row(tmp_path, make_row(2))
     assert [r["exp_id"] for r in read_benchmark(tmp_path)] == [2, 5]
 
 
@@ -313,10 +324,9 @@ def test_benchmark_rows_sorted_by_exp_id(tmp_path):
 )
 @settings(max_examples=50, deadline=None)
 def test_benchmark_round_trip_exact(mean_return, std, walltime):
-    metrics = EvalMetrics(
-        mean_return=mean_return, std_return=std,
-        success_ratios=(0.0, 0.1, 0.2, 1.0),
-        mean_final_distance_mm=0.0, n_episodes=1, n_seeds=1,
+    metrics = make_metrics(
+        mean_return, std, ratios=(0.0, 0.1, 0.2, 1.0),
+        mean_final_distance_mm=0.0, n_eval_episodes=1, n_seeds=1,
     )
     rows = [metrics_to_benchmark_row(metrics, make_record(1), walltime)]
     text = benchmark_rows_to_csv(rows)
@@ -358,7 +368,7 @@ def test_evaluate_reads_config_and_each_run_meta_once(tmp_path, monkeypatch):
 
 
 def test_benchmark_json_columns_survive_csv_quoting(tmp_path):
-    append_benchmark_row(tmp_path, 1, make_metrics(), make_record(1))
+    append_benchmark_row(tmp_path, make_row(1))
     row = read_benchmark(tmp_path)[0]
     import json
 
@@ -368,9 +378,7 @@ def test_benchmark_json_columns_survive_csv_quoting(tmp_path):
 
 
 def _upsert_worker(workspace, exp_id):
-    append_benchmark_row(
-        workspace, exp_id, make_metrics(float(exp_id)), make_record(exp_id)
-    )
+    append_benchmark_row(workspace, make_row(exp_id, float(exp_id)))
 
 
 def test_benchmark_concurrent_upserts_serialize(tmp_path):

@@ -310,8 +310,37 @@ def test_rerunning_complete_requires_overwrite(tmp_path):
     run_experiment(tmp_path, record.exp_id)
     with pytest.raises(LifecycleError):
         run_experiment(tmp_path, record.exp_id)
-    record = run_experiment(tmp_path, record.exp_id, overwrite=True)
-    assert record.status == STATUS_COMPLETE
+    assert load_experiment(tmp_path, record.exp_id).status == STATUS_COMPLETE
+
+
+def experiment_files(workspace, exp_id):
+    root = exp_dir(workspace, exp_id)
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_an_experiment_runs_once(tmp_path, monkeypatch):
+    complete = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
+    run_experiment(tmp_path, complete.exp_id)
+
+    def failing_train(algo, env_id, seed, config=None, **kwargs):
+        raise NumericError("synthetic divergence", training_log=None)
+
+    monkeypatch.setattr(experiment, "run_in_workers", run_in_process)
+    failed = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "train", failing_train)
+        assert run_experiment(tmp_path, failed.exp_id).status == STATUS_FAILED
+    for record, status in ((complete, STATUS_COMPLETE), (failed, STATUS_FAILED)):
+        before = experiment_files(tmp_path, record.exp_id)
+        assert ("seed_1/policy.json" in before) == (status == STATUS_COMPLETE)
+        # A rerun that a failing train would spoil, and one that would train.
+        for train in (failing_train, experiment.train):
+            with monkeypatch.context() as patch:
+                patch.setattr(experiment, "train", train)
+                with pytest.raises(LifecycleError, match=status):
+                    run_experiment(tmp_path, record.exp_id)
+            assert experiment_files(tmp_path, record.exp_id) == before
 
 
 def test_list_experiment_ids_ignores_noise(tmp_path):

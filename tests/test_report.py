@@ -21,7 +21,7 @@ from reachrl.report import (
     training_curve_series,
 )
 
-from test_evaluation import make_metrics, make_record, still_policy
+from test_evaluation import make_row, still_policy
 
 
 def make_series(ys, label="s"):
@@ -156,7 +156,7 @@ def test_episode_panels_stay_still_flat_lines(tmp_path):
 
 
 def test_benchmark_chart_one_bar(tmp_path):
-    append_benchmark_row(tmp_path, 1, make_metrics(), make_record(1))
+    append_benchmark_row(tmp_path, make_row(1))
     svg_path, csv_path = emit_benchmark_comparison(tmp_path, [1], "mean_return")
     root = ET.fromstring(svg_path.read_text())
     rects = root.findall(".//{http://www.w3.org/2000/svg}rect")
@@ -167,8 +167,8 @@ def test_benchmark_chart_one_bar(tmp_path):
 
 
 def test_benchmark_chart_two_bars_sorted(tmp_path):
-    append_benchmark_row(tmp_path, 2, make_metrics(2.0), make_record(2))
-    append_benchmark_row(tmp_path, 1, make_metrics(1.0), make_record(1))
+    append_benchmark_row(tmp_path, make_row(2, 2.0))
+    append_benchmark_row(tmp_path, make_row(1, 1.0))
     svg_path, csv_path = emit_benchmark_comparison(tmp_path, [2, 1], "success_ratio_20mm")
     root = ET.fromstring(svg_path.read_text())
     rects = root.findall(".//{http://www.w3.org/2000/svg}rect")
@@ -182,7 +182,7 @@ def test_benchmark_chart_two_bars_sorted(tmp_path):
 
 
 def test_benchmark_chart_unknown_metric_or_exp(tmp_path):
-    append_benchmark_row(tmp_path, 1, make_metrics(), make_record(1))
+    append_benchmark_row(tmp_path, make_row(1))
     with pytest.raises(ValidationError, match="numeric columns"):
         emit_benchmark_comparison(tmp_path, [1], "wat")
     with pytest.raises(ValidationError, match="available"):
