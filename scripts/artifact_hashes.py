@@ -7,9 +7,10 @@ Trains, in a temporary workspace, PPO on reach-planar-v1 (4,096 steps,
 learning_starts=500, seed 7) and the random baseline on reach-v2 (2,000
 steps, 2 seeds, base seed 7), then prints the hash of every seed's
 ``training_log.csv`` and ``policy.json``, and the ``seed`` and ``status``
-of its ``run_meta.json`` (not its wall time).  Seed runs execute in spawned
-children with single-threaded BLAS, as ``reachrl train`` runs them, so two
-checkouts whose training numerics agree print the same lines.
+of its ``run_meta.json`` (not its wall time).  BLAS is pinned to one
+thread before numpy loads, as ``reachrl`` commands pin it, and the seed runs
+execute in children forked from this process, as ``reachrl train`` runs
+them, so two checkouts whose training numerics agree print the same lines.
 
 It then evaluates the PPO experiment with ``--log-episode``, once
 deterministically and once with ``--stochastic``, and prints after each the
@@ -23,8 +24,8 @@ mean_return`` and prints the hashes of the figures and their data sidecars.
 Then it runs one small PPO study on reach-v1 (6 trials x 256 steps, 2
 checkpoints) at ``--parallel 1`` and at ``--parallel 2``, and prints the
 hashes of each study's ``trials.csv`` and ``best_config.json``; the two
-pairs must be equal.  BLAS is pinned to one thread before numpy loads, so
-the in-process ``--parallel 1`` study runs as the spawned workers do.
+pairs must be equal: the in-process ``--parallel 1`` study runs with the
+BLAS settings of the forked workers.
 
 Last, it trains the PPO run again with ``--parallel 1`` and prints its seed
 lines, which must equal those of the first PPO run (default ``--parallel``,
@@ -42,7 +43,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+from reachrl import BLAS_THREAD_VARS  # loads no numpy
+
+os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 from reachrl.cli import main as cli  # noqa: E402  (after pinning BLAS)
 from reachrl.evaluation import read_benchmark  # noqa: E402

@@ -7,9 +7,10 @@ color codes); every filesystem write stays under the workspace, which
 defaults to $RL_REACH_WORKSPACE or ./experiments.
 
 Each command handler imports the subsystem it runs when it runs it, so a
-command loads only what it uses.  Spawned seed and trial workers import
-this module as their main module too, so whatever it imported at the top
-every worker would import (and compile) again.
+command loads only what it uses.  This module imports nothing that loads
+numpy, so that ``entry`` can pin BLAS to one thread before numpy loads:
+the seed and trial workers are forked from the command, and a forked
+worker keeps the BLAS threads the command read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .agents import SUPPORTED_ALGOS
+from . import BLAS_THREAD_VARS
 from .errors import LifecycleError, ReachError, ValidationError
 
 DEFAULT_WORKSPACE = "experiments"
@@ -92,6 +93,8 @@ def _parse_hps(pairs: list[str] | None) -> dict:
 
 
 def build_parser() -> _Parser:
+    from .agents import SUPPORTED_ALGOS
+
     parser = _Parser(prog="reachrl", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
@@ -139,9 +142,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--parallel", type=int,
-        help="max concurrent trials; above 1 each runs in a spawned worker with "
-        "single-threaded BLAS (default: usable cores, at most --n-trials); the study "
-        "files do not depend on it when this process's BLAS is single-threaded too",
+        help="max concurrent trials; above 1 each runs in a forked worker "
+        "(default: usable cores, at most --n-trials); the study files do not depend on it",
     )
     add_workspace(p)
 
@@ -282,6 +284,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # Before numpy loads, so this process and every worker forked from it
+    # run single-threaded BLAS, whatever the caller's thread settings.
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     sys.exit(main())
 
 

@@ -21,9 +21,9 @@ ID is only ever reused if the experiment with the largest ID is deleted.  The
 ID is claimed by creating ``exp_<id>/``; if another command got there first,
 the next free ID is taken instead.
 The command process writes every file under ``exp_<id>/``: a seed run's
-spawned worker only trains and returns its files' text, and the parent
-writes them as the run ends, ``run_meta.json`` last.  A worker orphaned by a
-killed command therefore leaves nothing behind.  This module is also the
+forked worker only trains and returns its files' text, and the parent
+writes them as the run ends, ``run_meta.json`` last.  A worker dies with a
+killed command and leaves nothing behind.  This module is also the
 package's one reader of the seed files: the completed-seeds filter, the
 policies and the training logs.
 """
@@ -172,8 +172,7 @@ def create_experiment(
 def _run_seed(algo: str, env_id: str, seed: int, hyperparams: dict, n_timesteps: int) -> dict:
     """Train one seed run and return its files as {name: text}, in the order
     they are written: ``training_log.csv``, ``policy.json`` if training
-    completed, ``run_meta.json`` last.  Module-level, so spawned workers can
-    unpickle it; it opens no path.
+    completed, ``run_meta.json`` last.  It opens no path.
 
     Any exception from training is recorded: ``training_log.csv`` holds the
     partial log of a NumericError, else no rows, and ``run_meta.json`` has
@@ -225,8 +224,8 @@ def run_experiment(workspace: Path, exp_id: int, parallelism: int = 1) -> Experi
     record.status = STATUS_FAILED
     try:
         trained = 0
-        # Single-threaded BLAS in the workers makes the files independent of
-        # ``parallelism`` and of this process's threads.
+        # Every seed runs in a worker forked from this process, with its BLAS
+        # settings, so the files do not depend on ``parallelism``.
         with closing(run_in_workers(_run_seed, jobs, parallelism)) as runs:
             for k, _, files, _ in runs:
                 for name, text in files.items():

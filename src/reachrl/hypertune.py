@@ -7,7 +7,7 @@ strictly below the median of prior trials at the same checkpoint.  Studies
 are deterministic given their seed, whatever their parallelism.
 
 The configs are drawn up front, in trial order.  With ``parallel`` P > 1
-the trials run in P spawned workers (``ioutil.run_in_workers``), handed out
+the trials run in P forked workers (``ioutil.run_in_workers``), handed out
 in trial order, each worker blocking at every checkpoint report until the
 parent answers continue or prune.
 The parent answers trial i's report through the same decision function as
@@ -273,7 +273,7 @@ def _end_trial(trial: Trial, final: float | None, failed: bool) -> None:
 def _run_trials_in_workers(
     trials: list[Trial], min_trials_before_prune: int, parallel: int, run_args: tuple
 ) -> None:
-    """Run the trials in spawned workers behind the gate of the module docstring."""
+    """Run the trials in forked workers behind the gate of the module docstring."""
     jobs = [(run_args, trial.trial_id, trial.config, ask_parent) for trial in trials]
     unended = set(range(len(trials)))
     pending = {}  # trial id -> (reply, step, value) awaiting a decision
@@ -308,9 +308,9 @@ def run_study(
 
     Trial i trains with seed ``seed + 1 + i``.  ``parallel`` 1 runs the
     trials one after another in this process; more runs them in that many
-    spawned workers with single-threaded BLAS, which needs a ``trial_runner``
-    that pickles (a module-level function).  The files are byte-identical
-    across ``parallel`` when this process's BLAS is single-threaded too.
+    workers forked from it, which needs a ``trial_runner`` that pickles (a
+    module-level function).  The workers keep this process's BLAS settings,
+    so the files are byte-identical across ``parallel``.
     """
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")

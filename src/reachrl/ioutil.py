@@ -1,5 +1,5 @@
 """The workspace file codec, crash-safe writes, ID claims, advisory locking,
-and the spawned-worker runner.
+and the forked-worker runner.
 
 Every workspace CSV and JSON file but ``policy.json`` is written by
 ``csv_text`` or ``json_text`` and read by ``read_text`` and ``csv_rows``, or
@@ -15,10 +15,12 @@ import io
 import json
 import os
 import re
+import signal
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
+from . import BLAS_THREAD_VARS
 from .errors import CorruptDataError, ReachError
 
 
@@ -132,9 +134,6 @@ def claim_numbered_dir(root: Path, prefix: str) -> int:
             n += 1
 
 
-_BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 @contextmanager
 def single_threaded_blas_env():
     """Pin BLAS thread-count env vars to 1 while spawning child processes.
@@ -143,8 +142,8 @@ def single_threaded_blas_env():
     independent of the parent's thread configuration; the parent's env is
     restored on exit.
     """
-    saved = {name: os.environ.get(name) for name in _BLAS_ENV_VARS}
-    os.environ.update({name: "1" for name in _BLAS_ENV_VARS})
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
         yield
     finally:
@@ -153,35 +152,6 @@ def single_threaded_blas_env():
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
-
-
-@contextmanager
-def reaped_resource_tracker():
-    """Stop multiprocessing's resource tracker on exit if the block started it.
-
-    Spawning a child starts the tracker.  Left running, it outlives this
-    process as an orphan until whoever adopts it reaps it, so a command's
-    process group lingers after the command exits.  Every semaphore and
-    shared memory block the block created must be released by its end:
-    stopping the tracker unlinks whatever is still registered with it (and
-    warns of a leak), and a later release would start a new tracker.  The
-    only children spawned are ``run_in_workers``'s, which talk to the parent
-    over pipes alone and so register nothing with it.
-
-    The tracker's ``_fd`` and ``_stop`` are CPython internals, so this is
-    best-effort: where they are missing, the tracker is left to exit on its
-    own rather than failing the block.
-    """
-    from multiprocessing import resource_tracker
-
-    tracker = getattr(resource_tracker, "_resource_tracker", None)
-    stop = getattr(tracker, "_stop", None)
-    started_here = stop is not None and getattr(tracker, "_fd", 0) is None
-    try:
-        yield
-    finally:
-        if started_here:
-            stop()
 
 
 _parent = None  # in a worker of run_in_workers, its pipe to the parent, set before any job
@@ -194,10 +164,26 @@ def ask_parent(*payload):
     return _parent.recv()
 
 
-def _worker(conn, task) -> None:
+def _worker(conn, task, inherited) -> None:
     """Run ``task(*args)`` for each ``args`` the parent sends until None; send
-    ("end", result), or ("error", (exception, traceback text)) and stop."""
+    ("end", result), or ("error", (exception, traceback text)) and stop.
+
+    First have the kernel kill this worker when the parent dies, and close
+    ``inherited``, the parent's ends of the pipes forked into it, so that
+    the parent holds the only other end of ``conn``.
+    """
+    import ctypes
+    from multiprocessing import parent_process
+
     global _parent
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    if prctl(1, signal.SIGKILL) != 0:  # 1 is PR_SET_PDEATHSIG
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent_process().pid:  # the parent died before that
+        os._exit(1)
+    for end in inherited:
+        end.close()
     _parent = conn
     while (args := conn.recv()) is not None:
         try:
@@ -211,65 +197,70 @@ def _worker(conn, task) -> None:
 
 
 def run_in_workers(task, jobs: list[tuple], parallel: int):
-    """Run ``task(*job)`` for each job in at most ``parallel`` spawned workers.
+    """Run ``task(*job)`` for each job in at most ``parallel`` forked workers.
 
-    Jobs go out in order, over one pipe per worker; the workers run with
-    single-threaded BLAS, and ``task`` and the jobs must pickle.  A job
-    returns data and writes nothing: the caller writes what it returns, so a
-    worker that outlives the caller leaves no file behind.  Yields
-    ``(i, "ask", payload, reply)`` when job i calls ``ask_parent(*payload)``,
-    which blocks it until ``reply(answer)``, and ``(i, "end", result, None)``
-    when it returns.  A job's exception is re-raised here, chained to the
-    worker's traceback; a worker that exits mid-job raises ReachError.  The
-    workers are stopped and joined on every exit path, and the resource
-    tracker is stopped if spawning them started it.
+    A worker starts with this process's modules and BLAS settings, so the
+    files a job returns do not depend on ``parallel``.  A fork copies only
+    the calling thread, so this process should run no other: ``reachrl``
+    commands pin BLAS to one thread before numpy loads.  Jobs go out in
+    order, over one pipe per worker, and must pickle.  A job returns data
+    and writes nothing: the caller writes what it returns, and a worker
+    dies with this process, so a killed caller leaves no file and no
+    process behind.  Yields ``(i, "ask", payload, reply)`` when job i calls
+    ``ask_parent(*payload)``, which blocks it until ``reply(answer)``, and
+    ``(i, "end", result, None)`` when it returns.  A job's exception is
+    re-raised here, chained to the worker's traceback; a worker that exits
+    before or during its job raises ReachError.  The workers are stopped
+    and joined on every exit path.
     """
     from multiprocessing import get_context
     from multiprocessing.connection import wait
 
-    ctx = get_context("spawn")
+    ctx = get_context("fork")
     queue = enumerate(jobs)
     workers = []
     running = {}  # connection -> index of the job it runs
 
     def hand_out(conn):
         i, args = next(queue, (None, None))
-        conn.send(args)
+        try:
+            conn.send(args)
+        except OSError:  # a broken pipe or a reset: the worker has exited
+            raise ReachError(f"the worker running job {i} exited") from None
         if args is not None:
             running[conn] = i
 
-    with reaped_resource_tracker():
-        try:
-            with single_threaded_blas_env():
-                for _ in range(min(parallel, len(jobs))):
-                    conn, child_conn = ctx.Pipe()
-                    proc = ctx.Process(target=_worker, args=(child_conn, task))
-                    proc.start()
-                    child_conn.close()
-                    workers.append((proc, conn))
+    try:
+        for _ in range(min(parallel, len(jobs))):
+            conn, child_conn = ctx.Pipe()
+            inherited = [parent_end for _, parent_end in workers] + [conn]
+            proc = ctx.Process(target=_worker, args=(child_conn, task, inherited))
+            proc.start()
+            child_conn.close()
+            workers.append((proc, conn))
+            hand_out(conn)
+        while running:
+            for conn in wait(list(running)):
+                i = running[conn]
+                try:
+                    kind, payload = conn.recv()
+                except (EOFError, ConnectionResetError):  # reset: it left a message unread
+                    raise ReachError(f"the worker running job {i} exited") from None
+                if kind == "error":
+                    err, text = payload
+                    raise err from Exception(f"in job {i}, in its worker:\n{text}")
+                if kind == "end":
+                    del running[conn]
                     hand_out(conn)
-            while running:
-                for conn in wait(list(running)):
-                    i = running[conn]
-                    try:
-                        kind, payload = conn.recv()
-                    except (EOFError, ConnectionResetError):  # reset: it left a message unread
-                        raise ReachError(f"the worker running job {i} exited") from None
-                    if kind == "error":
-                        err, text = payload
-                        raise err from Exception(f"in job {i}, in its worker:\n{text}")
-                    if kind == "end":
-                        del running[conn]
-                        hand_out(conn)
-                    yield i, kind, payload, (conn.send if kind == "ask" else None)
-        except BaseException:
-            for proc, _ in workers:
-                proc.terminate()
-            raise
-        finally:
-            for proc, conn in workers:
-                conn.close()
-                proc.join()
+                yield i, kind, payload, (conn.send if kind == "ask" else None)
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, conn in workers:
+            conn.close()
+            proc.join()
 
 
 @contextmanager

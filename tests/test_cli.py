@@ -309,51 +309,89 @@ def test_parallel_train_leaves_no_process_behind(tmp_path):
     )
 
 
-def spawned_workers_of(pid: int) -> list[int]:
-    """The pids of the spawned multiprocessing workers whose parent is ``pid``."""
+def workers_of(pid: int) -> list[int]:
+    """The pids of the processes whose parent is ``pid``: a command's forked workers."""
     workers = []
     for proc_dir in Path("/proc").glob("[0-9]*"):
         try:
             ppid = int((proc_dir / "stat").read_text().rsplit(")", 1)[1].split()[1])
-            cmdline = (proc_dir / "cmdline").read_bytes()
         except (OSError, IndexError, ValueError):  # it exited while being read
             continue
-        if ppid == pid and b"spawn_main" in cmdline:
+        if ppid == pid:
             workers.append(int(proc_dir.name))
     return workers
 
 
+def start_train(args, workspace, env=SRC_ENV):
+    """Start ``reachrl train`` of two seeds at ``--parallel 2`` in its own process group."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "reachrl.cli", "train", *args, "--n-seeds", "2",
+         "--parallel", "2", "--workspace", str(workspace)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+        env=env,
+    )
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="finds workers through /proc")
 def test_killed_train_leaves_no_seed_files_behind(tmp_path):
-    # SIGTERM ends the command with no cleanup, so its workers train on as
-    # orphans; they must not write into the experiment the command left Running.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "reachrl.cli", "train", "--algo", "ppo", "--env",
-         "reach-planar-v1", "--n-timesteps", "12000", "--n-seeds", "2", "--parallel", "2",
-         "--workspace", str(tmp_path)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
-        env=SRC_ENV,
-    )
+    # SIGTERM ends the command with no cleanup; its orphaned workers must not
+    # write into the experiment the command left Running, and must exit.
+    proc = start_train(["--algo", "ppo", "--env", "reach-planar-v1", "--n-timesteps", "12000"],
+                       tmp_path)
     try:
         deadline = time.monotonic() + 60
-        while len(spawned_workers_of(proc.pid)) < 2:
+        while len(workers_of(proc.pid)) < 2:
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=60)
-        deadline = time.monotonic() + 120
-        while True:  # until the orphaned workers have finished training and exited
+        deadline = time.monotonic() + 2
+        while True:  # until the orphaned workers have exited
             try:
                 os.killpg(proc.pid, 0)
             except ProcessLookupError:
                 break
             assert time.monotonic() < deadline, "workers still running"
-            time.sleep(0.1)
+            time.sleep(0.05)
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
     assert (tmp_path / "exp_1" / "config.json").is_file()
     assert sorted((tmp_path / "exp_1").glob("seed_*")) == []
+
+
+def thread_count(pid: int) -> int | None:
+    """The ``Threads:`` of ``/proc/<pid>/status``; None once the process has gone."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return None
+    return int(status.split("Threads:", 1)[1].split()[0])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="counts threads through /proc")
+def test_train_runs_one_thread_per_process_whatever_the_blas_settings(tmp_path):
+    args = ["--algo", "ppo", "--env", "reach-planar-v1", "--n-timesteps", "4096"]
+    unset = {k: v for k, v in SRC_ENV.items() if k not in reachrl.BLAS_THREAD_VARS}
+    proc = start_train(args, tmp_path / "unset", unset)
+    threads = {}  # pid -> most threads seen, the command's and each worker's
+    try:
+        while proc.poll() is None:
+            for pid in [proc.pid, *workers_of(proc.pid)]:
+                if (count := thread_count(pid)) is not None:
+                    threads[pid] = max(threads.get(pid, 0), count)
+            time.sleep(0.02)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 0
+    assert len(threads) == 3 and set(threads.values()) == {1}, threads
+    pinned = {**SRC_ENV, **dict.fromkeys(reachrl.BLAS_THREAD_VARS, "1")}
+    assert start_train(args, tmp_path / "pinned", pinned).wait(timeout=120) == 0
+    for k in range(2):
+        for name in ("training_log.csv", "policy.json"):
+            unset_bytes = (tmp_path / "unset" / "exp_1" / f"seed_{k}" / name).read_bytes()
+            assert unset_bytes == (tmp_path / "pinned" / "exp_1" / f"seed_{k}" / name).read_bytes()
 
 
 def modules_loaded_by(args) -> set[str]:

@@ -2,9 +2,8 @@ import json
 import multiprocessing
 import os
 import shutil
-import sys
-import types
 from multiprocessing import get_context
+from pathlib import Path
 
 import pytest
 
@@ -183,7 +182,7 @@ def test_crashed_seed_task_marks_experiment_failed(tmp_path):
 
 def exit_in_seed_1(algo, env_id, seed, hyperparams, n_timesteps):
     """Stands in for ``experiment._run_seed``: the worker running seed 1 dies
-    mid-job.  Module-level, so that spawned workers can unpickle it."""
+    mid-job."""
     if seed == 1:
         os._exit(9)
     return experiment._run_seed(algo, env_id, seed, hyperparams, n_timesteps)
@@ -199,18 +198,31 @@ def test_seed_worker_that_exits_fails_the_experiment(tmp_path, monkeypatch):
 
 
 def test_seed_worker_that_cannot_start_fails_the_experiment(tmp_path, monkeypatch):
-    # A task whose module exists only in this process: workers cannot unpickle
-    # it, so each one exits before it reads its job.
-    module = types.ModuleType("module_missing_in_workers")
-    module.task = lambda algo, env_id, seed, hyperparams, n_timesteps: None
-    module.task.__module__, module.task.__qualname__ = module.__name__, "task"
-    monkeypatch.setitem(sys.modules, module.__name__, module)
-    monkeypatch.setattr(experiment, "_run_seed", module.task)
+    # The workers are forked with this process's ioutil, so each one exits
+    # before it reads its job.
+    monkeypatch.setattr(ioutil, "_worker", lambda *args: os._exit(1))
     record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
     with pytest.raises(ReachError, match="the worker running job [01] exited"):
         run_experiment(tmp_path, record.exp_id, parallelism=2)
     assert load_experiment(tmp_path, record.exp_id).status == STATUS_FAILED
     assert multiprocessing.active_children() == []
+
+
+def open_sockets() -> int:
+    """The number of sockets this process holds open."""
+    fds = Path("/proc/self/fd").iterdir()  # the one it read the directory through is closed
+    return sum(os.readlink(fd).startswith("socket:") for fd in fds if fd.exists())
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts sockets through /proc")
+def test_a_worker_holds_only_its_own_end_of_one_pipe():
+    # A forked worker closes the parent's ends of every pipe it inherits, its
+    # own included, so that EOF on its pipe means the parent has gone.  It
+    # keeps the sockets this process had before, if any.
+    before = open_sockets()
+    jobs = [()] * 6
+    counts = [count for _, _, count, _ in ioutil.run_in_workers(open_sockets, jobs, 3)]
+    assert counts == [before + 1] * 6
 
 
 def test_train_exits_two_without_traceback_when_a_seed_worker_exits(tmp_path, monkeypatch, capsys):
