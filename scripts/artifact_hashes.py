@@ -31,12 +31,16 @@ Last, it trains the PPO run again with ``--parallel 1`` and prints its seed
 lines, which must equal those of the first PPO run (default ``--parallel``,
 the usable cores up to 2).
 
+It exits 1 if either of those must-equal checks fails, after naming on
+stderr the first line that differs from its counterpart; else 0.
+
     PYTHONPATH=src python scripts/artifact_hashes.py
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -78,19 +82,39 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def print_seed_lines(label: str, exp_dir: Path) -> None:
+def print_lines(label: str, lines: list[str]) -> list[str]:
+    """Print each line after ``label``; return the lines without it."""
+    for line in lines:
+        print(f"{label} {line}")
+    return lines
+
+
+def print_seed_lines(label: str, exp_dir: Path) -> list[str]:
+    lines = []
     for seed_path in sorted(exp_dir.glob("seed_*")):
         for artifact in ("training_log.csv", "policy.json"):
-            print(f"{label} {seed_path.name} {artifact} {sha256(seed_path / artifact)}")
+            lines.append(f"{seed_path.name} {artifact} {sha256(seed_path / artifact)}")
         meta = json.loads((seed_path / "run_meta.json").read_text())
-        print(f"{label} {seed_path.name} run_meta.json seed={meta['seed']} status={meta['status']}")
+        lines.append(f"{seed_path.name} run_meta.json seed={meta['seed']} status={meta['status']}")
+    return print_lines(label, lines)
+
+
+def check_equal(label: str, lines: list[str], other_label: str, others: list[str]) -> bool:
+    """Whether ``others`` equals ``lines``; if not, name on stderr the first
+    of ``others`` that differs from its counterpart."""
+    for line, other in itertools.zip_longest(lines, others, fillvalue="<no line>"):
+        if line != other:
+            print(f"mismatch: {other_label} {other} differs from {label} {line}", file=sys.stderr)
+            return False
+    return True
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as workspace:
+        seed_lines = {}
         for exp_id, (name, args) in enumerate(RUNS, start=1):
             run_cli(name, ["train", *args, "--workspace", workspace])
-            print_seed_lines(name, Path(workspace) / f"exp_{exp_id}")
+            seed_lines[name] = print_seed_lines(name, Path(workspace) / f"exp_{exp_id}")
         for mode, flags in EVALUATIONS:
             stdout = run_cli("ppo", ["evaluate", "--exp-id", "1", "--log-episode", *flags,
                                      "--workspace", workspace])
@@ -107,15 +131,23 @@ def main() -> int:
             run_cli("ppo", [*args, "--workspace", workspace])
             for suffix in (".data.csv", ".svg"):
                 print(f"ppo {args[0]} {figure}{suffix} {sha256(Path(workspace) / (figure + suffix))}")
+        study_lines = {}
         for study_id, parallel in enumerate((1, 2), start=1):
             run_cli("ppo", ["tune", *TUNE, "--parallel", str(parallel), "--workspace", workspace])
             study = Path(workspace) / "studies" / f"study_{study_id}"
-            for artifact in ("trials.csv", "best_config.json"):
-                print(f"ppo tune parallel={parallel} {artifact} {sha256(study / artifact)}")
+            study_lines[parallel] = print_lines(
+                f"ppo tune parallel={parallel}",
+                [f"{artifact} {sha256(study / artifact)}"
+                 for artifact in ("trials.csv", "best_config.json")],
+            )
         name, args = RUNS[0]
         run_cli(name, ["train", *args, "--parallel", "1", "--workspace", workspace])
-        print_seed_lines(f"{name} parallel=1", Path(workspace) / f"exp_{len(RUNS) + 1}")
-    return 0
+        rerun = print_seed_lines(f"{name} parallel=1", Path(workspace) / f"exp_{len(RUNS) + 1}")
+    equal = [  # a list, not all(...) over a generator, so that both checks report
+        check_equal("ppo tune parallel=1", study_lines[1], "ppo tune parallel=2", study_lines[2]),
+        check_equal(name, seed_lines[name], f"{name} parallel=1", rerun),
+    ]
+    return 0 if all(equal) else 1
 
 
 if __name__ == "__main__":

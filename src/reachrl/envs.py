@@ -132,30 +132,23 @@ def _make_registry() -> dict[str, EnvConfig]:
         (ActionMode.ABSOLUTE_JOINT, ObsMode.JOINTS_GOAL_VECTOR, RewardType.DENSE_SQUARED),
         (ActionMode.ABSOLUTE_JOINT, ObsMode.JOINTS_GOAL_VECTOR, RewardType.SPARSE),
     ]
-    six_dof = widowx_arm()
-    planar = planar_arm()
+    variants = (
+        ("reach", SIX_DOF_GOAL_BOX, widowx_arm()),
+        ("reach-planar", PLANAR_GOAL_BOX, planar_arm()),
+    )
     registry: dict[str, EnvConfig] = {}
     for i, (action_mode, obs_mode, reward_type) in enumerate(combos, start=1):
-        registry[f"reach-v{i}"] = EnvConfig(
-            env_id=f"reach-v{i}",
-            action_mode=action_mode,
-            obs_mode=obs_mode,
-            reward_type=reward_type,
-            episode_len=DEFAULT_EPISODE_LEN,
-            goal_box=SIX_DOF_GOAL_BOX,
-            success_thresholds_mm=DEFAULT_SUCCESS_THRESHOLDS_MM,
-            arm=six_dof,
-        )
-        registry[f"reach-planar-v{i}"] = EnvConfig(
-            env_id=f"reach-planar-v{i}",
-            action_mode=action_mode,
-            obs_mode=obs_mode,
-            reward_type=reward_type,
-            episode_len=DEFAULT_EPISODE_LEN,
-            goal_box=PLANAR_GOAL_BOX,
-            success_thresholds_mm=DEFAULT_SUCCESS_THRESHOLDS_MM,
-            arm=planar,
-        )
+        for prefix, goal_box, arm_model in variants:
+            registry[f"{prefix}-v{i}"] = EnvConfig(
+                env_id=f"{prefix}-v{i}",
+                action_mode=action_mode,
+                obs_mode=obs_mode,
+                reward_type=reward_type,
+                episode_len=DEFAULT_EPISODE_LEN,
+                goal_box=goal_box,
+                success_thresholds_mm=DEFAULT_SUCCESS_THRESHOLDS_MM,
+                arm=arm_model,
+            )
     return registry
 
 

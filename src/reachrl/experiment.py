@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -52,7 +52,6 @@ from .ioutil import (
     atomic_write_text,
     claim_numbered_dir,
     json_text,
-    numbered_dirs,
     read_json,
     read_text,
     run_in_workers,
@@ -62,12 +61,6 @@ STATUS_CREATED = "Created"
 STATUS_RUNNING = "Running"
 STATUS_COMPLETE = "Complete"
 STATUS_FAILED = "Failed"
-
-_RECORD_FIELDS = (
-    "exp_id", "algo", "env_id", "n_timesteps", "n_seeds",
-    "base_seed", "hyperparams", "created_at", "status",
-)
-
 
 @dataclass
 class ExperimentRecord:
@@ -81,6 +74,9 @@ class ExperimentRecord:
     created_at: str
     status: str
     extras: dict = field(default_factory=dict)  # unknown keys, preserved on rewrite
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord) if f.name != "extras")
 
 
 @dataclass
@@ -98,10 +94,6 @@ def seed_dir(workspace: Path, exp_id: int, k: int) -> Path:
     return exp_dir(workspace, exp_id) / f"seed_{k}"
 
 
-def list_experiment_ids(workspace: Path) -> list[int]:
-    return numbered_dirs(workspace, "exp_")
-
-
 def record_to_json(record: ExperimentRecord) -> str:
     doc = {name: getattr(record, name) for name in _RECORD_FIELDS}
     doc.update(record.extras)
@@ -112,12 +104,12 @@ def save_record(workspace: Path, record: ExperimentRecord) -> None:
     atomic_write_text(exp_dir(workspace, record.exp_id) / "config.json", record_to_json(record))
 
 
-def _read_fields(path: Path, fields: tuple[str, ...]) -> dict:
-    """The JSON object at ``path``, which must hold every name in ``fields``."""
+def _read_fields(path: Path, names: tuple[str, ...]) -> dict:
+    """The JSON object at ``path``, which must hold every name in ``names``."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise CorruptDataError(f"{path}: not a JSON object")
-    missing = [name for name in fields if name not in doc]
+    missing = [name for name in names if name not in doc]
     if missing:
         raise CorruptDataError(f"{path}: missing fields {missing}")
     return doc

@@ -308,8 +308,7 @@ def run_study(
 
     Trial i trains with seed ``seed + 1 + i``.  ``parallel`` 1 runs the
     trials one after another in this process; more runs them in that many
-    workers forked from it, which needs a ``trial_runner`` that pickles (a
-    module-level function).  The workers keep this process's BLAS settings,
+    workers forked from it.  The workers keep this process's BLAS settings,
     so the files are byte-identical across ``parallel``.
     """
     if n_trials < 1:

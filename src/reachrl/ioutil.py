@@ -20,7 +20,6 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import BLAS_THREAD_VARS
 from .errors import CorruptDataError, ReachError
 
 
@@ -134,26 +133,6 @@ def claim_numbered_dir(root: Path, prefix: str) -> int:
             n += 1
 
 
-@contextmanager
-def single_threaded_blas_env():
-    """Pin BLAS thread-count env vars to 1 while spawning child processes.
-
-    Children inherit the pinned environment, making their numeric output
-    independent of the parent's thread configuration; the parent's env is
-    restored on exit.
-    """
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 _parent = None  # in a worker of run_in_workers, its pipe to the parent, set before any job
 
 
@@ -164,9 +143,9 @@ def ask_parent(*payload):
     return _parent.recv()
 
 
-def _worker(conn, task, inherited) -> None:
-    """Run ``task(*args)`` for each ``args`` the parent sends until None; send
-    ("end", result), or ("error", (exception, traceback text)) and stop.
+def _worker(conn, task, jobs, inherited) -> None:
+    """Run ``task(*jobs[i])`` for each index i the parent sends until None;
+    send ("end", result), or ("error", (exception, traceback text)) and stop.
 
     First have the kernel kill this worker when the parent dies, and close
     ``inherited``, the parent's ends of the pipes forked into it, so that
@@ -185,9 +164,9 @@ def _worker(conn, task, inherited) -> None:
     for end in inherited:
         end.close()
     _parent = conn
-    while (args := conn.recv()) is not None:
+    while (i := conn.recv()) is not None:
         try:
-            result = task(*args)
+            result = task(*jobs[i])
         except Exception as err:
             import traceback
 
@@ -202,39 +181,40 @@ def run_in_workers(task, jobs: list[tuple], parallel: int):
     A worker starts with this process's modules and BLAS settings, so the
     files a job returns do not depend on ``parallel``.  A fork copies only
     the calling thread, so this process should run no other: ``reachrl``
-    commands pin BLAS to one thread before numpy loads.  Jobs go out in
-    order, over one pipe per worker, and must pickle.  A job returns data
-    and writes nothing: the caller writes what it returns, and a worker
-    dies with this process, so a killed caller leaves no file and no
-    process behind.  Yields ``(i, "ask", payload, reply)`` when job i calls
-    ``ask_parent(*payload)``, which blocks it until ``reply(answer)``, and
-    ``(i, "end", result, None)`` when it returns.  A job's exception is
-    re-raised here, chained to the worker's traceback; a worker that exits
-    before or during its job raises ReachError.  The workers are stopped
-    and joined on every exit path.
+    commands pin BLAS to one thread before numpy loads.  Job indices go out
+    in order, over one pipe per worker.  A worker reads job i as it was when
+    the worker was forked, so a job need not pickle; its result and its
+    exceptions must.  A job returns data and writes nothing: the caller
+    writes what it returns, and a worker dies with this process, so a killed
+    caller leaves no file and no process behind.  Yields ``(i, "ask",
+    payload, reply)`` when job i calls ``ask_parent(*payload)``, which blocks
+    it until ``reply(answer)``, and ``(i, "end", result, None)`` when it
+    returns.  A job's exception is re-raised here, chained to the worker's
+    traceback; a worker that exits before or during its job raises
+    ReachError.  The workers are stopped and joined on every exit path.
     """
     from multiprocessing import get_context
     from multiprocessing.connection import wait
 
     ctx = get_context("fork")
-    queue = enumerate(jobs)
+    queue = iter(range(len(jobs)))
     workers = []
     running = {}  # connection -> index of the job it runs
 
     def hand_out(conn):
-        i, args = next(queue, (None, None))
+        i = next(queue, None)
         try:
-            conn.send(args)
+            conn.send(i)
         except OSError:  # a broken pipe or a reset: the worker has exited
             raise ReachError(f"the worker running job {i} exited") from None
-        if args is not None:
+        if i is not None:
             running[conn] = i
 
     try:
         for _ in range(min(parallel, len(jobs))):
             conn, child_conn = ctx.Pipe()
             inherited = [parent_end for _, parent_end in workers] + [conn]
-            proc = ctx.Process(target=_worker, args=(child_conn, task, inherited))
+            proc = ctx.Process(target=_worker, args=(child_conn, task, jobs, inherited))
             proc.start()
             child_conn.close()
             workers.append((proc, conn))

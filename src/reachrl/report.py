@@ -20,7 +20,7 @@ from .evaluation import (
     episode_log_to_csv,
     read_benchmark,
 )
-from .experiment import completed_seeds, load_experiment, load_training_log, seed_runs
+from .experiment import completed_seeds, exp_dir, load_experiment, load_training_log, seed_runs
 from .ioutil import atomic_write_text, csv_rows, csv_text
 
 DEFAULT_SMOOTHING_WINDOW = 50
@@ -272,7 +272,7 @@ def emit_training_curves(
         ylabel="episode return",
         emphasize="mean",
     )
-    out_dir = Path(workspace) / f"exp_{exp_id}"
+    out_dir = exp_dir(workspace, exp_id)
     svg_path = out_dir / "training_curves.svg"
     csv_path = out_dir / "training_curves.data.csv"
     atomic_write_text(svg_path, svg)
@@ -301,14 +301,11 @@ def render_episode_panels(log: EpisodeLog) -> str:
 
     cols, panel_w, panel_h = 2, 360, 220
     rows = (len(panels) + cols - 1) // cols
-    width, height = cols * panel_w, rows * panel_h + 24
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" version="1.1">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.2f}" y="16" font-family="sans-serif" font-size="13" '
-        f'text-anchor="middle" fill="#222222">episode metadata ({log.env_id})</text>',
-    ]
+    canvas = _Canvas(cols * panel_w, rows * panel_h + 24)
+    canvas.parts.append(
+        f'<text x="{canvas.width / 2:.2f}" y="16" font-family="sans-serif" font-size="13" '
+        f'text-anchor="middle" fill="#222222">episode metadata ({log.env_id})</text>'
+    )
     for i, (title, series_list) in enumerate(panels):
         inner = render_line_chart(
             series_list, title=title, xlabel="step", ylabel="",
@@ -317,10 +314,8 @@ def render_episode_panels(log: EpisodeLog) -> str:
         body = inner.split("\n", 1)[1].rsplit("</svg>", 1)[0].rstrip("\n")
         tx = (i % cols) * panel_w
         ty = 24 + (i // cols) * panel_h
-        parts.append(f'<g transform="translate({tx},{ty})">')
-        parts.append(body)
-        parts.append("</g>")
-    return "\n".join(parts + ["</svg>"]) + "\n"
+        canvas.parts.extend((f'<g transform="translate({tx},{ty})">', body, "</g>"))
+    return canvas.render()
 
 
 def emit_episode_panels(log: EpisodeLog, out_dir: Path) -> tuple[Path, Path]:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import reachrl
 from reachrl.agents import (
     EVAL_SEED_OFFSET,
     make_algo_config,
@@ -39,7 +40,6 @@ from reachrl.hypertune import (
     run_study,
     should_prune,
 )
-from reachrl.ioutil import single_threaded_blas_env
 from reachrl.nets import mlp_backward, mlp_forward, mlp_init
 from reachrl.ppo import compute_gae
 from reachrl.report import series_from_csv, series_to_csv
@@ -207,16 +207,17 @@ def test_criterion_5_ppo_learning(tmp_path):
 # ------------------------------------------------------------------ 6
 
 @pytest.mark.slow
-def test_criterion_6_td3_sanity():
+def test_criterion_6_td3_sanity(monkeypatch):
     start = time.perf_counter()
     checkpoints = [25_000, 50_000, 75_000, 100_000]
-    with single_threaded_blas_env():
-        with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
-            futures = [
-                pool.submit(checkpointed_training, "td3", "reach-planar-v1", seed, {}, checkpoints)
-                for seed in (0, 1)
-            ]
-            results = [f.result() for f in futures]
+    for name in reachrl.BLAS_THREAD_VARS:  # the spawned workers run one BLAS thread
+        monkeypatch.setenv(name, "1")
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
+        futures = [
+            pool.submit(checkpointed_training, "td3", "reach-planar-v1", seed, {}, checkpoints)
+            for seed in (0, 1)
+        ]
+        results = [f.result() for f in futures]
     per_seed_values = [dict(values) for _, _, values in results]
     first = float(np.mean([v[checkpoints[0]] for v in per_seed_values]))
     last = float(np.mean([v[checkpoints[-1]] for v in per_seed_values]))

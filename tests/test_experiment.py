@@ -23,7 +23,6 @@ from reachrl.experiment import (
     STATUS_FAILED,
     create_experiment,
     exp_dir,
-    list_experiment_ids,
     load_experiment,
     record_to_json,
     run_experiment,
@@ -145,12 +144,6 @@ def test_parallelism_does_not_change_artifacts(tmp_path):
             assert a == b, f"seed {k} {name} differs between parallelism levels"
 
 
-def run_in_process(task, jobs, parallel):
-    """Stands in for ``ioutil.run_in_workers``, so that monkeypatches reach the jobs."""
-    for i, job in enumerate(jobs):
-        yield i, "end", task(*job), None
-
-
 def test_failed_seed_marks_experiment_failed_but_others_complete(tmp_path, monkeypatch):
     real_train = experiment.train
 
@@ -160,7 +153,6 @@ def test_failed_seed_marks_experiment_failed_but_others_complete(tmp_path, monke
         return real_train(algo, env_id, seed, config, **kwargs)
 
     monkeypatch.setattr(experiment, "train", failing_train)
-    monkeypatch.setattr(experiment, "run_in_workers", run_in_process)
     record = create_experiment(tmp_path, "random", "reach-planar-v1", 200, 3)
     record = run_experiment(tmp_path, record.exp_id)
     assert record.status == STATUS_FAILED
@@ -312,7 +304,7 @@ def test_two_spawned_processes_never_share_an_experiment_id(tmp_path):
     for child in children:
         child.join(timeout=120)
     assert [child.exitcode for child in children] == [0, 0]
-    assert list_experiment_ids(tmp_path) == list(range(1, 11))
+    assert ioutil.numbered_dirs(tmp_path, "exp_") == list(range(1, 11))
     records = [load_experiment(tmp_path, exp_id) for exp_id in range(1, 11)]
     assert sorted(r.base_seed for r in records) == [0, 1, 2, 3, 4, 10, 11, 12, 13, 14]
 
@@ -338,7 +330,6 @@ def test_an_experiment_runs_once(tmp_path, monkeypatch):
     def failing_train(algo, env_id, seed, config=None, **kwargs):
         raise NumericError("synthetic divergence", training_log=None)
 
-    monkeypatch.setattr(experiment, "run_in_workers", run_in_process)
     failed = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
     with monkeypatch.context() as patch:
         patch.setattr(experiment, "train", failing_train)
@@ -360,7 +351,7 @@ def test_list_experiment_ids_ignores_noise(tmp_path):
     (tmp_path / "exp_abc").mkdir()
     (tmp_path / "not_an_exp").mkdir()
     (tmp_path / "exp_10").mkdir()
-    assert list_experiment_ids(tmp_path) == [3, 10]
+    assert ioutil.numbered_dirs(tmp_path, "exp_") == [3, 10]
 
 
 def test_unwritable_workspace_is_io_error(tmp_path):

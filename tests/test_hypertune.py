@@ -249,8 +249,7 @@ def test_real_training_trial_runner_smoke(tmp_path):
     assert [s for s, _ in study.best.intermediate_values] == [64, 128]
 
 
-# Module-level runners, so that the jobs that carry them pickle.  Trial i of
-# a study with seed 0 trains with seed i + 1.
+# Trial i of a study with seed 0 trains with seed i + 1.
 
 def staggered_runner(algo, env_id, seed, config, steps, report):
     """Metric lr * step; trials with odd ids run slowly, so later trials reach
@@ -299,6 +298,19 @@ def test_parallel_study_is_byte_identical_to_sequential(tmp_path, runner):
         assert sequential[0].count(b"Failed") == 3
     for parallel in (2, 3):
         assert study_bytes(tmp_path / f"p{parallel}", runner, parallel) == sequential
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_study_runs_a_closure_trial_runner(tmp_path):
+    # A worker reads its job from the memory it was forked with, so a trial
+    # runner that does not pickle still runs in parallel.
+    scale = 2.0
+
+    def closure_runner(algo, env_id, seed, config, steps, report):
+        return staggered_runner(algo, env_id, seed, {"lr": scale * config["lr"]}, steps, report)
+
+    sequential = study_bytes(tmp_path / "p1", closure_runner, 1)
+    assert study_bytes(tmp_path / "p2", closure_runner, 2) == sequential
     assert multiprocessing.active_children() == []
 
 
