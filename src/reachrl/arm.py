@@ -14,7 +14,9 @@ the model's ``tool`` point expressed in the last joint frame:
 The module is kinematic only: no torques, gravity or contact.  ArmModel is
 immutable and shareable across threads.  There is no arm state object: the
 functions map joint angles to angles or positions, take one (n_joints,)
-vector or a (B, n_joints) batch, and never mutate their inputs.
+vector or a (B, n_joints) batch, and never mutate their inputs.  Forward
+kinematics runs on Python floats for one vector and on (B,) columns for a
+batch, with the same bits per row.
 """
 
 from __future__ import annotations
@@ -75,8 +77,7 @@ class ArmModel:
     def n_joints(self) -> int:
         return len(self.joints)
 
-    # The cached arrays below are shared, read-only views of the geometry;
-    # callers must not mutate them.
+    # The cached values below are shared and read-only; callers must not mutate them.
     @cached_property
     def lower_limits(self) -> np.ndarray:
         return np.array([j.lower_limit for j in self.joints])
@@ -90,22 +91,20 @@ class ArmModel:
         return np.array([j.max_step for j in self.joints])
 
     @cached_property
-    def axes(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.array(j.axis) for j in self.joints)
+    def min_steps(self) -> np.ndarray:
+        """-max_steps: each joint's most negative command in one step."""
+        return -self.max_steps
 
     @cached_property
-    def link_offsets(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.array(j.link_offset) for j in self.joints)
+    def chain(self) -> tuple[tuple[float, ...], ...]:
+        """The tool point, then per joint, the last first, its axis and link offset."""
+        joints = (tuple(map(float, j.axis + j.link_offset)) for j in reversed(self.joints))
+        return (tuple(map(float, self.tool)), *joints)
 
     @cached_property
-    def tool_point(self) -> np.ndarray:
-        return np.array(self.tool)
-
-    @cached_property
-    def cross_weights(self) -> np.ndarray:
-        """Per joint (k1, k2, k0, k2, k0, k1): k x v is the first three times
-        (v2, v0, v1) minus the last three times (v1, v2, v0)."""
-        return np.array([[k[1], k[2], k[0], k[2], k[0], k[1]] for k in self.axes])
+    def chain_arrays(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """``chain`` as 0-d arrays, which multiply an array faster than floats do."""
+        return tuple(tuple(np.array(v) for v in joint) for joint in self.chain)
 
     def reach_radius(self) -> float:
         """Upper bound on the end-effector distance from the base."""
@@ -113,19 +112,18 @@ class ArmModel:
         return float(total + np.linalg.norm(self.tool))
 
 
-# Column order of one row of ``point[:, _ROTATE_COLUMNS]``: the point, then the
-# two permutations whose weighted difference is the cross product k x point.
-_ROTATE_COLUMNS = np.array([0, 1, 2, 2, 0, 1, 1, 2, 0])
-
-
 def forward_kinematics(model: ArmModel, angles: np.ndarray) -> np.ndarray:
     """End-effector position: (n_joints,) angles give (3,), a (B, n_joints)
     batch gives (B, 3).
 
     Applies Rodrigues' formula, v cos + (k x v) sin + k (k . v)(1 - cos), joint
-    by joint to all rows at once.  Rows do not depend on each other or on B,
-    so a row's bits equal those of its 1-D call.  Raises ValidationError on a
-    shape mismatch or any out-of-limit angle.
+    by joint to the coordinates x, y, z: floats for one set of angles, (B,)
+    columns for a batch, with the same operations in the same order, so a row's
+    bits equal those of its 1-D call.  k . v sums x k0 + y k1 + z k2 left to
+    right, where a BLAS matmul may not: on coordinate axes (both shipped arms)
+    every term is exact and the two agree bit for bit; on general axes half of
+    all points differ from a matmul's in the last bit (at most 4e-16).  Raises
+    ValidationError on a shape mismatch or any out-of-limit angle.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim not in (1, 2) or angles.shape[-1] != model.n_joints:
@@ -133,26 +131,26 @@ def forward_kinematics(model: ArmModel, angles: np.ndarray) -> np.ndarray:
             f"expected {model.n_joints} joint angles or a (B, {model.n_joints}) batch, "
             f"got shape {angles.shape}"
         )
-    batch = angles if angles.ndim == 2 else angles[None]
-    bad = (batch < model.lower_limits) | (batch > model.upper_limits)
+    bad = (angles < model.lower_limits) | (angles > model.upper_limits)
     if bad.any():
-        rows = np.flatnonzero(bad.any(axis=1)).tolist()
+        rows = np.flatnonzero(bad.any(axis=-1)).tolist()
         raise ValidationError(f"angle rows {rows} violate joint limits")
-    cos = np.cos(batch)
-    sin = np.sin(batch)
-    one_minus_cos = 1.0 - cos
-    # weights[:, i] times the columns above gives v cos, then the two cross terms
-    weights = np.empty(batch.shape + (9,))
-    weights[:, :, :3] = cos[:, :, None]
-    weights[:, :, 3:] = model.cross_weights
-    point = model.tool_point[None]
-    for i in reversed(range(model.n_joints)):
-        axis = model.axes[i]
-        terms = point.take(_ROTATE_COLUMNS, axis=1) * weights[:, i]
-        rotated = terms[:, :3] + (terms[:, 3:6] - terms[:, 6:]) * sin[:, i : i + 1]
-        along = (point @ axis)[:, None] * one_minus_cos[:, i : i + 1]
-        point = model.link_offsets[i] + (rotated + axis * along)
-    return point if angles.ndim == 2 else point[0]
+    columns = np.ascontiguousarray(angles.T[::-1])  # a row per joint, the last first
+    cos, sin = np.cos(columns), np.sin(columns)
+    terms = cos, sin, 1.0 - cos
+    if angles.ndim == 1:  # a numpy call costs about a microsecond on a few numbers
+        terms = [t.tolist() for t in terms]
+    (x, y, z), *joints = model.chain if angles.ndim == 1 else model.chain_arrays
+    for c, s, omc, (k0, k1, k2, o0, o1, o2) in zip(*terms, joints):
+        r0 = x * c + (z * k1 - y * k2) * s
+        r1 = y * c + (x * k2 - z * k0) * s
+        r2 = z * c + (y * k0 - x * k1) * s
+        along = (x * k0 + y * k1 + z * k2) * omc
+        x = o0 + (r0 + k0 * along)
+        y = o1 + (r1 + k1 * along)
+        z = o2 + (r2 + k2 * along)
+    point = np.array([x, y, z])
+    return point if angles.ndim == 1 else point.T.copy()
 
 
 def clamp_to_limits(model: ArmModel, angles: np.ndarray) -> np.ndarray:
@@ -165,7 +163,8 @@ def clamp_to_limits(model: ArmModel, angles: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"expected {model.n_joints} joint angles, got shape {angles.shape}"
         )
-    return np.clip(angles, model.lower_limits, model.upper_limits)
+    # minimum(maximum()) gives np.clip's bits in a third of its time.
+    return np.minimum(np.maximum(angles, model.lower_limits), model.upper_limits)
 
 
 def step_joint_angles(model: ArmModel, angles: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -181,9 +180,9 @@ def step_joint_angles(model: ArmModel, angles: np.ndarray, delta: np.ndarray) ->
         raise ValidationError(
             f"expected {model.n_joints} joint deltas, got shape {delta.shape}"
         )
-    if not np.all(np.isfinite(delta)):
+    if not np.isfinite(delta).all():
         raise ValidationError(f"joint command must be finite, got {delta.tolist()}")
-    stepped = np.clip(delta, -model.max_steps, model.max_steps)
+    stepped = np.minimum(np.maximum(delta, model.min_steps), model.max_steps)
     return clamp_to_limits(model, angles + stepped)
 
 

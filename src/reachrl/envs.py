@@ -180,7 +180,7 @@ def decode_action(config: EnvConfig, action: np.ndarray, current_angles: np.ndar
     n = config.n_joints
     if action.ndim not in (1, 2) or action.shape[-1] != n:
         raise ValidationError(f"expected action of length {n}, got shape {action.shape}")
-    action = np.clip(action, -1.0, 1.0)
+    action = np.minimum(np.maximum(action, -1.0), 1.0)  # np.clip's bits, faster
     if config.action_mode is ActionMode.RELATIVE_JOINT:
         return action * config.arm.max_steps
     target = config.joint_midpoints + action * config.joint_half_ranges

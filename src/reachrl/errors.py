@@ -17,6 +17,14 @@ class LifecycleError(ReachError):
     """Operation attempted at the wrong time (e.g. stepping a finished episode)."""
 
 
+class WorkerExited(ReachError):
+    """A worker exited before or during job ``job``, ``seconds`` after it got it."""
+
+    def __init__(self, job, seconds):
+        super().__init__(f"the worker running job {job} exited")
+        self.job, self.seconds = job, seconds
+
+
 class NumericError(ReachError):
     """Non-finite values encountered during training; the run aborts cleanly."""
 

@@ -47,7 +47,7 @@ from .agents import (
     training_log_to_csv,
 )
 from .envs import registry_lookup
-from .errors import CorruptDataError, LifecycleError, ValidationError
+from .errors import CorruptDataError, LifecycleError, ValidationError, WorkerExited
 from .ioutil import (
     atomic_write_text,
     claim_numbered_dir,
@@ -199,7 +199,8 @@ def run_experiment(workspace: Path, exp_id: int, parallelism: int = 1) -> Experi
     Artifacts are byte-identical regardless of the schedule.  The experiment
     ends Complete iff every seed run returns a policy; a failed run marks it
     Failed but the other runs still complete.  An exception from a seed run,
-    or from writing its files, also leaves it Failed, then propagates.
+    or from writing its files, also leaves it Failed, then propagates; a
+    seed whose worker died gets a "failed" ``run_meta.json`` first.
     """
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
@@ -225,6 +226,13 @@ def run_experiment(workspace: Path, exp_id: int, parallelism: int = 1) -> Experi
                 trained += "policy.json" in files
         if trained == record.n_seeds:
             record.status = STATUS_COMPLETE
+    except WorkerExited as err:
+        if err.job is not None:  # else it died after its last job
+            _, _, seed, _, _ = jobs[err.job]
+            meta = {"seed": seed, "wall_time_s": err.seconds, "status": "failed",
+                    "error": f"{type(err).__name__}: {err}"}
+            atomic_write_text(seed_dir(workspace, exp_id, err.job) / "run_meta.json", json_text(meta))
+        raise
     finally:
         save_record(workspace, record)
     return record

@@ -17,10 +17,11 @@ import os
 import re
 import signal
 import tempfile
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import CorruptDataError, ReachError
+from .errors import CorruptDataError, WorkerExited
 
 
 def _cell(value):
@@ -191,7 +192,7 @@ def run_in_workers(task, jobs: list[tuple], parallel: int):
     it until ``reply(answer)``, and ``(i, "end", result, None)`` when it
     returns.  A job's exception is re-raised here, chained to the worker's
     traceback; a worker that exits before or during its job raises
-    ReachError.  The workers are stopped and joined on every exit path.
+    WorkerExited.  The workers are stopped and joined on every exit path.
     """
     from multiprocessing import get_context
     from multiprocessing.connection import wait
@@ -199,16 +200,16 @@ def run_in_workers(task, jobs: list[tuple], parallel: int):
     ctx = get_context("fork")
     queue = iter(range(len(jobs)))
     workers = []
-    running = {}  # connection -> index of the job it runs
+    running = {}  # connection -> index of the job it runs, and when it got it
 
     def hand_out(conn):
         i = next(queue, None)
         try:
             conn.send(i)
         except OSError:  # a broken pipe or a reset: the worker has exited
-            raise ReachError(f"the worker running job {i} exited") from None
+            raise WorkerExited(i, 0.0) from None
         if i is not None:
-            running[conn] = i
+            running[conn] = i, time.perf_counter()
 
     try:
         for _ in range(min(parallel, len(jobs))):
@@ -221,11 +222,11 @@ def run_in_workers(task, jobs: list[tuple], parallel: int):
             hand_out(conn)
         while running:
             for conn in wait(list(running)):
-                i = running[conn]
+                i, start = running[conn]
                 try:
                     kind, payload = conn.recv()
                 except (EOFError, ConnectionResetError):  # reset: it left a message unread
-                    raise ReachError(f"the worker running job {i} exited") from None
+                    raise WorkerExited(i, time.perf_counter() - start) from None
                 if kind == "error":
                     err, text = payload
                     raise err from Exception(f"in job {i}, in its worker:\n{text}")

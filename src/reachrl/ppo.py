@@ -89,11 +89,12 @@ def compute_gae(
         )
     n = len(rewards)
     advantages = np.zeros(n)
+    r, v, d = rewards.tolist(), values.tolist(), dones.tolist()  # floats add faster
     last = 0.0
     for t in range(n - 1, -1, -1):
-        nonterminal = 1.0 - dones[t]
-        v_next = next_value if t == n - 1 else values[t + 1]
-        delta = rewards[t] + gamma * v_next * nonterminal - values[t]
+        nonterminal = 1.0 - d[t]
+        v_next = next_value if t == n - 1 else v[t + 1]
+        delta = r[t] + gamma * v_next * nonterminal - v[t]
         last = delta + gamma * gae_lambda * nonterminal * last
         advantages[t] = last
     return advantages, advantages + values

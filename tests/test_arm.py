@@ -35,6 +35,36 @@ def random_angles(model, rng):
     return rng.uniform(model.lower_limits, model.upper_limits)
 
 
+def fk_matmul_reference(model, angles):
+    """Rodrigues' formula on (B, 9) numpy blocks, with a BLAS matmul for
+    k . v: the formulation whose bits the per-coordinate FK must keep on
+    coordinate axes."""
+    batch = np.asarray(angles, dtype=float).reshape(-1, model.n_joints)
+    axes = [np.array(j.axis, dtype=float) for j in model.joints]
+    cross_weights = np.array([[k[1], k[2], k[0], k[2], k[0], k[1]] for k in axes])
+    columns = np.array([0, 1, 2, 2, 0, 1, 1, 2, 0])
+    cos, sin = np.cos(batch), np.sin(batch)
+    one_minus_cos = 1.0 - cos
+    weights = np.empty(batch.shape + (9,))
+    weights[:, :, :3] = cos[:, :, None]
+    weights[:, :, 3:] = cross_weights
+    point = np.array(model.tool, dtype=float)[None]
+    for i in reversed(range(model.n_joints)):
+        terms = point.take(columns, axis=1) * weights[:, i]
+        rotated = terms[:, :3] + (terms[:, 3:6] - terms[:, 6:]) * sin[:, i : i + 1]
+        along = (point @ axes[i])[:, None] * one_minus_cos[:, i : i + 1]
+        point = np.array(model.joints[i].link_offset) + (rotated + axes[i] * along)
+    return point if np.ndim(angles) == 2 else point[0]
+
+
+def angles_with_edges(model, rng, n):
+    """n random angle sets, the first three at the lower limits, the upper
+    limits and zero."""
+    angles = rng.uniform(model.lower_limits, model.upper_limits, size=(n, model.n_joints))
+    angles[:3] = [model.lower_limits, model.upper_limits, np.zeros(model.n_joints)]
+    return angles
+
+
 def test_planar_fully_extended():
     np.testing.assert_allclose(
         forward_kinematics(planar_arm(), [0.0, 0.0]), [0.35, 0.0, 0.0], atol=1e-15
@@ -95,6 +125,45 @@ def test_batched_fk_rows_equal_scalar_fk_bit_for_bit(model):
     expected = np.array([forward_kinematics(model, row) for row in angles])
     assert batch.shape == (500, 3)
     assert batch.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("model", [planar_arm(), widowx_arm()], ids=lambda m: m.name)
+def test_fk_equals_matmul_reference_bit_for_bit(model):
+    # The shipped arms turn about coordinate axes, so every product with an
+    # axis component and every sum in k . v is exact, whatever the order.
+    rng = np.random.default_rng(3)
+    angles = angles_with_edges(model, rng, 2000)
+    for row in angles:
+        assert forward_kinematics(model, row).tobytes() == fk_matmul_reference(model, row).tobytes()
+    for size in (20, 50):
+        for start in range(0, len(angles), size):
+            batch = angles[start : start + size]
+            assert forward_kinematics(model, batch).tobytes() == fk_matmul_reference(model, batch).tobytes()
+
+
+def tilted_arm():
+    """A 6-joint arm whose axes and offsets are not axis-aligned."""
+    rng = np.random.default_rng(4)
+    joints = []
+    for _ in range(6):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        offset = rng.uniform(-0.1, 0.1, size=3)
+        joints.append(JointSpec(tuple(axis.tolist()), tuple(offset.tolist()), -2.5, 2.5, 0.05))
+    return ArmModel(name="tilted", joints=tuple(joints), tool=(0.01, -0.02, 0.03))
+
+
+def test_tilted_arm_fk_matches_references_and_its_own_rows():
+    # On general axes k . v may round differently from a matmul, so the
+    # references hold to within rounding, and a batch row still equals its
+    # 1-D call bit for bit.
+    model = tilted_arm()
+    angles = angles_with_edges(model, np.random.default_rng(5), 500)
+    batch = forward_kinematics(model, angles)
+    np.testing.assert_allclose(batch, fk_matmul_reference(model, angles), rtol=0, atol=1e-15)
+    for row, out in zip(angles[:100], batch):
+        np.testing.assert_allclose(out, fk_oracle(model, row), rtol=0, atol=1e-12)
+        assert forward_kinematics(model, row).tobytes() == out.tobytes()
 
 
 def test_batched_fk_rejects_wrong_shape_and_out_of_limit_rows():

@@ -193,11 +193,21 @@ def test_seed_worker_that_cannot_start_fails_the_experiment(tmp_path, monkeypatc
     # The workers are forked with this process's ioutil, so each one exits
     # before it reads its job.
     monkeypatch.setattr(ioutil, "_worker", lambda *args: os._exit(1))
-    record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2)
-    with pytest.raises(ReachError, match="the worker running job [01] exited"):
+    record = create_experiment(tmp_path, "random", "reach-planar-v1", 100, 2, base_seed=5)
+    with pytest.raises(ReachError, match="the worker running job [01] exited") as raised:
         run_experiment(tmp_path, record.exp_id, parallelism=2)
     assert load_experiment(tmp_path, record.exp_id).status == STATUS_FAILED
     assert multiprocessing.active_children() == []
+    # The parent records the seed whose worker it saw die; the other seed's
+    # worker was stopped, and its seed has no record.
+    k = raised.value.job
+    meta = json.loads((seed_dir(tmp_path, record.exp_id, k) / "run_meta.json").read_text())
+    assert meta["seed"] == 5 + k
+    assert meta["status"] == "failed"
+    assert meta["error"] == f"WorkerExited: the worker running job {k} exited"
+    assert meta["wall_time_s"] >= 0.0
+    statuses = {run.k: run.status for run in seed_runs(tmp_path, record)}
+    assert statuses == {k: "failed", 1 - k: "missing"}
 
 
 def open_sockets() -> int:
