@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -72,15 +73,43 @@ def training_log_from_csv(text: str, source: str = "training_log.csv") -> Traini
     return log
 
 
-@dataclass
-class RandomConfig:
-    """The random-action baseline has no knobs beyond the step budget."""
+def hp(default, domain: str):
+    """A config field: its default, whose type is the field's, and its domain, such as "(0, 1]"."""
+    return field(default=default, metadata={"domain": domain})
 
-    n_timesteps: int = 100_000
+
+def _checked(name: str, value, kind: type, domain: str):
+    """``value``, or the number a string spells, as a ``kind``.  ValidationError
+    if there is none (a bool, text, a fraction for an int) or it is outside
+    ``domain``, as NaN and infinities are: no domain is closed at infinity."""
+    number = value
+    if isinstance(value, str):
+        with suppress(ValueError):  # the int it spells, else the float
+            number = float(value)
+            number = int(value)
+    if isinstance(number, (int, float)) and not isinstance(number, bool):
+        with suppress(OverflowError):  # float(10**400); int() keeps an int exact
+            if kind is float or float(number).is_integer():
+                number = kind(number)
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    if not (type(number) is kind and (lo < number if domain[0] == "(" else lo <= number)
+            and (number < hi if domain[-1] == ")" else number <= hi)):
+        wanted = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{name} must be {wanted} in {domain}, got {value!r}")
+    return number
+
+
+@dataclass
+class AlgoConfig:
+    """The random baseline's config and the base of the others: construction
+    replaces each value with its ``_checked`` form, as its field's ``hp`` says."""
+
+    n_timesteps: int = hp(100_000, "[1, inf)")
 
     def __post_init__(self):
-        if self.n_timesteps < 1:
-            raise ValidationError(f"n_timesteps must be >= 1, got {self.n_timesteps}")
+        for f in dataclasses.fields(self):
+            value = _checked(f.name, getattr(self, f.name), type(f.default), f.metadata["domain"])
+            setattr(self, f.name, value)
 
 
 @dataclass
@@ -159,7 +188,7 @@ def policy_from_json(text: str | bytes, source: str = "text") -> PolicyArtifact:
 
 
 def make_algo_config(algo: str, n_timesteps: int, hyperparams: dict | None = None):
-    """Build an algorithm config from defaults plus hyperparameter overrides."""
+    """Build an algorithm config from defaults plus overrides, which its ``hp`` table checks."""
     if algo not in SUPPORTED_ALGOS:
         raise ValidationError(
             f"unknown algo {algo!r}; supported: {', '.join(SUPPORTED_ALGOS)}"
@@ -169,24 +198,20 @@ def make_algo_config(algo: str, n_timesteps: int, hyperparams: dict | None = Non
     elif algo == "td3":
         from .td3 import Td3Config as cls
     else:
-        cls = RandomConfig
-    hyperparams = dict(hyperparams or {})
+        cls = AlgoConfig
+    hyperparams = hyperparams or {}
     if "n_timesteps" in hyperparams:
         raise ValidationError("n_timesteps is set by the experiment, not a hyperparameter")
-    valid = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(hyperparams) - set(valid))
+    unknown = sorted(set(hyperparams) - set(cls.__dataclass_fields__))
     if unknown:
         raise ValidationError(
             f"unknown hyperparameters for {algo}: {', '.join(unknown)}; "
-            f"valid: {', '.join(sorted(valid))}"
+            f"valid: {', '.join(sorted(cls.__dataclass_fields__))}"
         )
-    coerced = {}
-    for name, value in hyperparams.items():
-        coerced[name] = int(value) if valid[name] == "int" else float(value)
-    return cls(n_timesteps=n_timesteps, **coerced)
+    return cls(n_timesteps=n_timesteps, **hyperparams)
 
 
-def _train_random(env, config: RandomConfig, seed: int, log, on_step):
+def _train_random(env, config: AlgoConfig, seed: int, log, on_step):
     rng = np.random.default_rng(seed + NOISE_SEED_OFFSET)
     act_dim = env.config.n_joints
     act = lambda obs: rng.uniform(-1.0, 1.0, size=act_dim)

@@ -123,7 +123,7 @@ def forward_kinematics(model: ArmModel, angles: np.ndarray) -> np.ndarray:
     right, where a BLAS matmul may not: on coordinate axes (both shipped arms)
     every term is exact and the two agree bit for bit; on general axes half of
     all points differ from a matmul's in the last bit (at most 4e-16).  Raises
-    ValidationError on a shape mismatch or any out-of-limit angle.
+    ValidationError on a shape mismatch or any out-of-limit or NaN angle.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim not in (1, 2) or angles.shape[-1] != model.n_joints:
@@ -131,9 +131,9 @@ def forward_kinematics(model: ArmModel, angles: np.ndarray) -> np.ndarray:
             f"expected {model.n_joints} joint angles or a (B, {model.n_joints}) batch, "
             f"got shape {angles.shape}"
         )
-    bad = (angles < model.lower_limits) | (angles > model.upper_limits)
-    if bad.any():
-        rows = np.flatnonzero(bad.any(axis=-1)).tolist()
+    ok = (model.lower_limits <= angles) & (angles <= model.upper_limits)  # False for NaN
+    if not ok.all():
+        rows = np.flatnonzero(~ok.all(axis=-1)).tolist()
         raise ValidationError(f"angle rows {rows} violate joint limits")
     columns = np.ascontiguousarray(angles.T[::-1])  # a row per joint, the last first
     cos, sin = np.cos(columns), np.sin(columns)

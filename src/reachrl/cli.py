@@ -73,23 +73,12 @@ def _parallelism(requested: int | None, cap: int) -> int:
     return min(cores, cap)
 
 
-def _parse_hp_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def _parse_hps(pairs: list[str] | None) -> dict:
-    hyperparams = {}
+    """The ``--hp`` pairs as {key: text}; the config's field table reads the text."""
     for pair in pairs or []:
         if "=" not in pair:
             raise ValidationError(f"--hp expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        hyperparams[key] = _parse_hp_value(value)
-    return hyperparams
+    return dict(pair.split("=", 1) for pair in pairs or [])
 
 
 def build_parser() -> _Parser:

@@ -135,25 +135,25 @@ def create_experiment(
     base_seed: int = 0,
     hyperparams: dict | None = None,
 ) -> ExperimentRecord:
-    """Validate, assign the next ID and persist config.json.
-
-    Validation happens before any directory is created.
-    """
+    """Validate, assign the next ID and persist config.json, which holds each
+    given hyperparameter as the config read it.  Validation happens before
+    any directory is created."""
     algo = algo.lower()
-    hyperparams = dict(hyperparams or {})
     registry_lookup(env_id)
-    make_algo_config(algo, n_timesteps, hyperparams)  # raises on bad algo/hyperparams
+    config = make_algo_config(algo, n_timesteps, hyperparams)  # raises on bad algo/hyperparams
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
+    if base_seed < 0:
+        raise ValidationError(f"base_seed must be >= 0, got {base_seed}")
     exp_id = claim_numbered_dir(workspace, "exp_")
     record = ExperimentRecord(
         exp_id=exp_id,
         algo=algo,
         env_id=env_id,
-        n_timesteps=int(n_timesteps),
+        n_timesteps=config.n_timesteps,
         n_seeds=int(n_seeds),
         base_seed=int(base_seed),
-        hyperparams=hyperparams,
+        hyperparams={name: getattr(config, name) for name in hyperparams or {}},
         created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         status=STATUS_CREATED,
     )
@@ -175,12 +175,11 @@ def _run_seed(algo: str, env_id: str, seed: int, hyperparams: dict, n_timesteps:
     error = None
     try:
         artifact, log = train(algo, env_id, seed, config)
-        status = "complete"
     except Exception as err:
         artifact, log = None, (getattr(err, "training_log", None) or TrainingLog())
-        status = "failed"
         error = f"{type(err).__name__}: {err}"
-    meta = {"seed": seed, "wall_time_s": time.perf_counter() - start, "status": status}
+    meta = {"seed": seed, "wall_time_s": time.perf_counter() - start,
+            "status": "complete" if error is None else "failed"}
     if error is not None:
         meta["error"] = error
     files = {"training_log.csv": training_log_to_csv(log)}
@@ -199,8 +198,9 @@ def run_experiment(workspace: Path, exp_id: int, parallelism: int = 1) -> Experi
     Artifacts are byte-identical regardless of the schedule.  The experiment
     ends Complete iff every seed run returns a policy; a failed run marks it
     Failed but the other runs still complete.  An exception from a seed run,
-    or from writing its files, also leaves it Failed, then propagates; a
-    seed whose worker died gets a "failed" ``run_meta.json`` first.
+    or from writing its files, also leaves it Failed, then propagates; when
+    a worker dies, each seed not yet written gets a "failed" ``run_meta.json``
+    first, its error "stopped: ..." for all but the dead worker's seed.
     """
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
@@ -215,23 +215,23 @@ def run_experiment(workspace: Path, exp_id: int, parallelism: int = 1) -> Experi
         for k in range(record.n_seeds)
     ]
     record.status = STATUS_FAILED
+    written = {}  # k -> whether its run trained a policy
     try:
-        trained = 0
         # Every seed runs in a worker forked from this process, with its BLAS
         # settings, so the files do not depend on ``parallelism``.
         with closing(run_in_workers(_run_seed, jobs, parallelism)) as runs:
             for k, _, files, _ in runs:
                 for name, text in files.items():
                     atomic_write_text(seed_dir(workspace, exp_id, k) / name, text)
-                trained += "policy.json" in files
-        if trained == record.n_seeds:
+                written[k] = "policy.json" in files
+        if sum(written.values()) == record.n_seeds:
             record.status = STATUS_COMPLETE
     except WorkerExited as err:
-        if err.job is not None:  # else it died after its last job
-            _, _, seed, _, _ = jobs[err.job]
-            meta = {"seed": seed, "wall_time_s": err.seconds, "status": "failed",
-                    "error": f"{type(err).__name__}: {err}"}
-            atomic_write_text(seed_dir(workspace, exp_id, err.job) / "run_meta.json", json_text(meta))
+        error = f"{type(err).__name__}: {err}"
+        for k in sorted(set(range(record.n_seeds)) - set(written)):
+            meta = {"seed": jobs[k][2], "wall_time_s": err.seconds if k == err.job else 0.0,
+                    "status": "failed", "error": error if k == err.job else f"stopped: {error}"}
+            atomic_write_text(seed_dir(workspace, exp_id, k) / "run_meta.json", json_text(meta))
         raise
     finally:
         save_record(workspace, record)

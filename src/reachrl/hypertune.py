@@ -313,6 +313,8 @@ def run_study(
     """
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if parallel < 1:
         raise ValidationError(f"parallel must be >= 1, got {parallel}")
     if min_trials_before_prune < 1:  # the median rule needs a prior trial

@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact
+from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, AlgoConfig, PolicyArtifact, hp
 from .envs import run_episodes
 from .errors import NumericError, ValidationError
 from .nets import (
@@ -37,33 +37,25 @@ HIDDEN_SIZES = (64, 64)
 
 
 @dataclass
-class PpoConfig:
-    n_timesteps: int = 100_000
-    rollout_len: int = 2048
-    minibatch_size: int = 64
-    n_epochs: int = 10
-    lr: float = 3e-4
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    clip_range: float = 0.2
-    ent_coef: float = 0.0
-    vf_coef: float = 0.5
-    max_grad_norm: float = 0.5
+class PpoConfig(AlgoConfig):
+    rollout_len: int = hp(2048, "[1, inf)")
+    minibatch_size: int = hp(64, "[1, inf)")
+    n_epochs: int = hp(10, "[1, inf)")
+    lr: float = hp(3e-4, "(0, inf)")
+    gamma: float = hp(0.99, "(0, 1]")
+    gae_lambda: float = hp(0.95, "[0, 1]")
+    clip_range: float = hp(0.2, "(0, inf)")
+    ent_coef: float = hp(0.0, "[0, inf)")
+    vf_coef: float = hp(0.5, "[0, inf)")
+    max_grad_norm: float = hp(0.5, "(0, inf)")
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValidationError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValidationError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
-        if self.clip_range <= 0:
-            raise ValidationError(f"clip_range must be positive, got {self.clip_range}")
+        super().__post_init__()
         if self.rollout_len % self.minibatch_size != 0:
             raise ValidationError(
                 f"rollout_len {self.rollout_len} not divisible by "
                 f"minibatch_size {self.minibatch_size}"
             )
-        if self.n_timesteps < 1:
-            raise ValidationError(f"n_timesteps must be >= 1, got {self.n_timesteps}")
 
 
 def compute_gae(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact
+from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, AlgoConfig, PolicyArtifact, hp
 from .envs import run_episodes
 from .errors import NumericError, ValidationError
 from .nets import (
@@ -31,30 +31,24 @@ from .ppo import HIDDEN_SIZES
 
 
 @dataclass
-class Td3Config:
-    n_timesteps: int = 100_000
-    buffer_size: int = 100_000
-    batch_size: int = 256
-    learning_starts: int = 1_000
-    policy_delay: int = 2
-    lr: float = 1e-3
-    gamma: float = 0.99
-    tau: float = 0.005
-    policy_noise: float = 0.2
-    noise_clip: float = 0.5
-    explore_noise: float = 0.1
+class Td3Config(AlgoConfig):
+    buffer_size: int = hp(100_000, "[1, inf)")
+    batch_size: int = hp(256, "[1, inf)")
+    learning_starts: int = hp(1_000, "[0, inf)")
+    policy_delay: int = hp(2, "[1, inf)")
+    lr: float = hp(1e-3, "(0, inf)")
+    gamma: float = hp(0.99, "[0, 1]")
+    tau: float = hp(0.005, "(0, 1]")
+    policy_noise: float = hp(0.2, "[0, inf)")
+    noise_clip: float = hp(0.5, "[0, inf)")
+    explore_noise: float = hp(0.1, "[0, inf)")
 
     def __post_init__(self):
+        super().__post_init__()
         if self.buffer_size < self.batch_size:
             raise ValidationError(
                 f"buffer_size {self.buffer_size} < batch_size {self.batch_size}"
             )
-        if not 0.0 < self.tau <= 1.0:
-            raise ValidationError(f"tau must be in (0, 1], got {self.tau}")
-        if self.policy_delay < 1:
-            raise ValidationError(f"policy_delay must be >= 1, got {self.policy_delay}")
-        if self.n_timesteps < 1:
-            raise ValidationError(f"n_timesteps must be >= 1, got {self.n_timesteps}")
 
 
 class ReplayBuffer:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachrl.agents import (
+    AlgoConfig,
     PolicyArtifact,
     TrainingLog,
     make_algo_config,
@@ -19,6 +21,7 @@ from reachrl.agents import (
 )
 from reachrl.envs import make_env, registry_lookup, run_episodes
 from reachrl.errors import ValidationError
+from reachrl.ioutil import json_text
 from reachrl.nets import GaussianHead, gaussian_log_prob, mlp_forward, mlp_init
 from reachrl.ppo import (
     PpoConfig,
@@ -484,6 +487,51 @@ def test_make_algo_config_rejects_unknown_hyperparameter():
     assert config.lr == 0.001
     assert config.rollout_len == 512
     assert isinstance(config.rollout_len, int)
+
+
+CONFIG_FIELDS = [
+    (algo, f)
+    for algo, cls in (("random", AlgoConfig), ("ppo", PpoConfig), ("td3", Td3Config))
+    for f in dataclasses.fields(cls)
+]
+ODD_VALUES = [0, -1, 0.5, 2.7, 1e-3, math.nan, math.inf, -math.inf, 10**400, 2**53 + 1,
+              True, False, None, "", "abc", "nan", "-inf", "1e3", "2.7", " 7 ", str(10**400)]
+
+
+@given(
+    value=st.one_of(
+        st.sampled_from(ODD_VALUES),
+        st.integers(-5, 5000),
+        st.floats(),  # NaN and infinities included
+        st.one_of(st.integers(-5, 5000), st.floats()).map(str),  # as --hp passes them
+        st.text(max_size=6),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_config_table_reads_every_field_exactly_or_rejects_it(value):
+    # In every field of every algorithm, a value either raises ValidationError
+    # or lands as the number it is, in the field's type, and a JSON round trip
+    # of the record rebuilds the same config.
+    for algo, f in CONFIG_FIELDS:
+        try:
+            if f.name == "n_timesteps":
+                config = make_algo_config(algo, value)
+            else:
+                config = make_algo_config(algo, 1000, {f.name: value})
+        except ValidationError:
+            continue
+        got = getattr(config, f.name)
+        assert type(got) is type(f.default) and not isinstance(value, bool)
+        assert -math.inf < got < math.inf  # NaN fails this too
+        if isinstance(value, str):
+            assert got == float(value) or str(got) == value.strip()
+        else:
+            assert got == (float(value) if type(got) is float else value)  # an int exactly
+        record = {g.name: getattr(config, g.name) for g in dataclasses.fields(config)}
+        recorded = json.loads(json_text(record))
+        assert recorded == record
+        n_timesteps = recorded.pop("n_timesteps")
+        assert make_algo_config(algo, n_timesteps, recorded) == config
 
 
 def test_ppo_checkpoint_at_rollout_end_scores_updated_policy():

@@ -112,6 +112,8 @@ def test_fk_rejects_wrong_length_and_out_of_limits():
         forward_kinematics(model, [0.0, 0.0, 0.0])
     with pytest.raises(ValidationError):
         forward_kinematics(model, [4.0, 0.0])
+    with pytest.raises(ValidationError):
+        forward_kinematics(model, [np.nan, 0.0])
 
 
 @pytest.mark.parametrize("model", [planar_arm(), widowx_arm()], ids=lambda m: m.name)
@@ -175,6 +177,9 @@ def test_batched_fk_rejects_wrong_shape_and_out_of_limit_rows():
     angles = np.zeros((4, 2))
     angles[2, 1] = 4.0
     with pytest.raises(ValidationError, match=r"rows \[2\]"):
+        forward_kinematics(model, angles)
+    angles[2, 1], angles[3, 0] = 0.0, np.nan
+    with pytest.raises(ValidationError, match=r"rows \[3\]"):
         forward_kinematics(model, angles)
 
 

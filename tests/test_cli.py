@@ -76,6 +76,15 @@ def test_unknown_flag_rejected(tmp_path, capsys):
         ["--n-seeds", "0"],                 # out of range
         ["--hp", "lr"],                     # malformed key=value
         ["--hp", "bogus=3"],                # unknown hyperparameter
+        ["--algo", "ppo", "--hp", "n_epochs=2.7"],      # a fraction for an int
+        ["--algo", "ppo", "--hp", "lr=-1"],             # outside the domain
+        ["--algo", "ppo", "--hp", "lr=abc"],            # not a number
+        ["--algo", "ppo", "--hp", "lr=nan"],
+        ["--algo", "ppo", "--hp", "max_grad_norm=nan"],
+        ["--algo", "ppo", "--hp", "n_epochs=0"],
+        ["--algo", "ppo", "--hp", "minibatch_size=0"],  # would divide by zero
+        ["--algo", "td3", "--hp", "batch_size=0"],
+        ["--base-seed", "-1"],
     ],
 )
 def test_train_mangled_flags_exit_one(tmp_path, mangled, capsys):
@@ -84,12 +93,14 @@ def test_train_mangled_flags_exit_one(tmp_path, mangled, capsys):
         "--n-timesteps": "100", "--n-seeds": "1",
     }
     argv = ["train", "--workspace", str(tmp_path)]
-    overridden = mangled[0]
+    overridden = mangled[::2]
     for flag, value in base.items():
-        if flag != overridden:
+        if flag not in overridden:
             argv += [flag, value]
     argv += mangled
     assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [], "validation failures must not write"
 
 
@@ -97,12 +108,14 @@ def test_hp_override_lands_in_config(tmp_path, capsys):
     code = run([
         "train", "--algo", "ppo", "--env", "reach-planar-v1",
         "--n-timesteps", "64", "--n-seeds", "1", "--workspace", str(tmp_path),
-        "--hp", "lr=0.001", *FAST_HP,
+        "--hp", "lr=0.001", "--hp", "gamma=1", *FAST_HP,
     ])
     assert code == 0
     doc = json.loads((tmp_path / "exp_1" / "config.json").read_text())
     assert doc["hyperparams"]["lr"] == 0.001
     assert doc["hyperparams"]["rollout_len"] == 64
+    # Recorded as the field's type, the value training used.
+    assert isinstance(doc["hyperparams"]["gamma"], float)
 
 
 def test_evaluate_writes_benchmark_row(tmp_path, capsys):
@@ -251,6 +264,18 @@ def test_tune_parallel_zero_exits_one(tmp_path, capsys):
     ])
     assert code == 1
     assert "error: parallel must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "studies").exists()
+
+
+def test_tune_negative_seed_exits_one(tmp_path, capsys):
+    code = run([
+        "tune", "--algo", "ppo", "--env", "reach-planar-v1", "--n-trials", "1",
+        "--timesteps-per-trial", "128", "--checkpoints", "1", "--seed", "-1",
+        "--workspace", str(tmp_path),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be >= 0") and "Traceback" not in err
     assert not (tmp_path / "studies").exists()
 
 

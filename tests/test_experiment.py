@@ -198,16 +198,19 @@ def test_seed_worker_that_cannot_start_fails_the_experiment(tmp_path, monkeypatc
         run_experiment(tmp_path, record.exp_id, parallelism=2)
     assert load_experiment(tmp_path, record.exp_id).status == STATUS_FAILED
     assert multiprocessing.active_children() == []
-    # The parent records the seed whose worker it saw die; the other seed's
-    # worker was stopped, and its seed has no record.
+    # The parent records the seed whose worker it saw die, and the seed whose
+    # worker it stopped.
     k = raised.value.job
     meta = json.loads((seed_dir(tmp_path, record.exp_id, k) / "run_meta.json").read_text())
     assert meta["seed"] == 5 + k
     assert meta["status"] == "failed"
     assert meta["error"] == f"WorkerExited: the worker running job {k} exited"
     assert meta["wall_time_s"] >= 0.0
+    meta = json.loads((seed_dir(tmp_path, record.exp_id, 1 - k) / "run_meta.json").read_text())
+    assert meta == {"seed": 5 + 1 - k, "wall_time_s": 0.0, "status": "failed",
+                    "error": f"stopped: WorkerExited: the worker running job {k} exited"}
     statuses = {run.k: run.status for run in seed_runs(tmp_path, record)}
-    assert statuses == {k: "failed", 1 - k: "missing"}
+    assert statuses == {k: "failed", 1 - k: "failed"}
 
 
 def open_sockets() -> int:
