@@ -25,8 +25,8 @@ mean_return`` and prints the hashes of the figures and their data sidecars.
 Then it runs one small PPO study on reach-v1 (6 trials x 256 steps, 2
 checkpoints) at ``--parallel 1`` and at ``--parallel 2``, and prints the
 hashes of each study's ``trials.csv`` and ``best_config.json``; the two
-pairs must be equal: the in-process ``--parallel 1`` study runs with the
-BLAS settings of the forked workers.
+pairs must be equal: both studies run their trials in forked workers, one
+worker at ``--parallel 1``.
 
 Last, it trains the PPO run again with ``--parallel 1`` and prints its seed
 lines, which must equal those of the first PPO run (default ``--parallel``,

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .envs import make_env, registry_lookup, run_episodes
+from .envs import make_env, run_episodes
 from .errors import NumericError, ValidationError
 from .nets import Mlp, mlp_forward, mlp_from_dict, mlp_to_dict
 
@@ -79,15 +79,16 @@ def hp(default, domain: str):
 
 
 def _checked(name: str, value, kind: type, domain: str):
-    """``value``, or the number a string spells, as a ``kind``.  ValidationError
-    if there is none (a bool, text, a fraction for an int) or it is outside
-    ``domain``, as NaN and infinities are: no domain is closed at infinity."""
+    """``value``, or the number a string or a numpy scalar stands for, as a
+    ``kind``.  ValidationError if there is none (a bool, text, a fraction for
+    an int) or it is outside ``domain``, as NaN and infinities are: no domain
+    is closed at infinity."""
     number = value
     if isinstance(value, str):
         with suppress(ValueError):  # the int it spells, else the float
             number = float(value)
             number = int(value)
-    if isinstance(number, (int, float)) and not isinstance(number, bool):
+    if isinstance(number, (int, float, np.integer, np.floating)) and not isinstance(number, bool):
         with suppress(OverflowError):  # float(10**400); int() keeps an int exact
             if kind is float or float(number).is_integer():
                 number = kind(number)
@@ -187,18 +188,26 @@ def policy_from_json(text: str | bytes, source: str = "text") -> PolicyArtifact:
         raise ValidationError(f"{source} is not a valid policy: {err!r}") from None
 
 
+def _algo(algo: str) -> tuple[type, type]:
+    """The config class and the trainer of ``algo``; the one place an unknown
+    algo is rejected.  A trainer takes ``(env, config, seed)`` and has
+    ``artifact()`` and ``train(log, on_step)``."""
+    if algo == "ppo":
+        from .ppo import PpoConfig, PpoTrainer
+
+        return PpoConfig, PpoTrainer
+    if algo == "td3":
+        from .td3 import Td3Config, Td3Trainer
+
+        return Td3Config, Td3Trainer
+    if algo == "random":
+        return AlgoConfig, RandomTrainer
+    raise ValidationError(f"unknown algo {algo!r}; supported: {', '.join(SUPPORTED_ALGOS)}")
+
+
 def make_algo_config(algo: str, n_timesteps: int, hyperparams: dict | None = None):
     """Build an algorithm config from defaults plus overrides, which its ``hp`` table checks."""
-    if algo not in SUPPORTED_ALGOS:
-        raise ValidationError(
-            f"unknown algo {algo!r}; supported: {', '.join(SUPPORTED_ALGOS)}"
-        )
-    if algo == "ppo":
-        from .ppo import PpoConfig as cls
-    elif algo == "td3":
-        from .td3 import Td3Config as cls
-    else:
-        cls = AlgoConfig
+    cls, _ = _algo(algo)
     hyperparams = hyperparams or {}
     if "n_timesteps" in hyperparams:
         raise ValidationError("n_timesteps is set by the experiment, not a hyperparameter")
@@ -211,13 +220,23 @@ def make_algo_config(algo: str, n_timesteps: int, hyperparams: dict | None = Non
     return cls(n_timesteps=n_timesteps, **hyperparams)
 
 
-def _train_random(env, config: AlgoConfig, seed: int, log, on_step):
-    rng = np.random.default_rng(seed + NOISE_SEED_OFFSET)
-    act_dim = env.config.n_joints
-    act = lambda obs: rng.uniform(-1.0, 1.0, size=act_dim)
-    for step, *_ in run_episodes(env, act, log.add, config.n_timesteps):
-        if not on_step(step):
-            break
+class RandomTrainer:
+    """The random baseline: uniform actions in [-1, 1], and nothing to learn."""
+
+    def __init__(self, env, config: AlgoConfig, seed: int):
+        self.env = env
+        self.config = config
+        self.rng = np.random.default_rng(seed + NOISE_SEED_OFFSET)
+
+    def artifact(self):
+        return PolicyArtifact(kind="random", n_actions=self.env.config.n_joints)
+
+    def train(self, log, on_step):
+        act_dim = self.env.config.n_joints
+        act = lambda obs: self.rng.uniform(-1.0, 1.0, size=act_dim)
+        for step, *_ in run_episodes(self.env, act, log.add, self.config.n_timesteps):
+            if not on_step(step):
+                break
 
 
 def train(
@@ -238,38 +257,22 @@ def train(
     partial log attached if training diverges.
     """
     algo = algo.lower()
-    if algo not in SUPPORTED_ALGOS:
-        raise ValidationError(
-            f"unknown algo {algo!r}; supported: {', '.join(SUPPORTED_ALGOS)}"
-        )
-    registry_lookup(env_id)
+    _, Trainer = _algo(algo)
     if config is None:
         config = make_algo_config(algo, n_timesteps=100_000)
     log = TrainingLog()
-    env = make_env(env_id, seed=seed)
-    if algo == "random":
-        artifact = lambda: PolicyArtifact(kind="random", n_actions=env.config.n_joints)
-    else:
-        if algo == "ppo":
-            from .ppo import PpoTrainer as Trainer
-        else:
-            from .td3 import Td3Trainer as Trainer
-        trainer = Trainer(env, config, seed)
-        artifact = trainer.artifact
+    trainer = Trainer(make_env(env_id, seed=seed), config, seed)
     pending = sorted(checkpoint_steps) if checkpoint_fn is not None else []
 
     def on_step(step):
         while pending and step >= pending[0]:
-            if not checkpoint_fn(pending.pop(0), artifact()):
+            if not checkpoint_fn(pending.pop(0), trainer.artifact()):
                 return False
         return True
 
     try:
-        if algo == "random":
-            _train_random(env, config, seed, log, on_step)
-        else:
-            trainer.train(log, on_step)
+        trainer.train(log, on_step)
     except NumericError as err:
         err.training_log = log
         raise
-    return artifact(), log
+    return trainer.artifact(), log

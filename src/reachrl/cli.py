@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--parallel", type=int,
-        help="max concurrent trials; above 1 each runs in a forked worker "
+        help="max concurrent trials, each in a forked worker "
         "(default: usable cores, at most --n-trials); the study files do not depend on it",
     )
     add_workspace(p)

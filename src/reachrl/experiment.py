@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import time
 from contextlib import closing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 from .agents import (
     PolicyArtifact,
@@ -76,7 +77,10 @@ class ExperimentRecord:
     extras: dict = field(default_factory=dict)  # unknown keys, preserved on rewrite
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord) if f.name != "extras")
+# Each field's type, which config.json must hold: exp_id is an int, hyperparams a dict.
+_RECORD_FIELDS = {
+    name: kind for name, kind in get_type_hints(ExperimentRecord).items() if name != "extras"
+}
 
 
 @dataclass
@@ -104,14 +108,23 @@ def save_record(workspace: Path, record: ExperimentRecord) -> None:
     atomic_write_text(exp_dir(workspace, record.exp_id) / "config.json", record_to_json(record))
 
 
-def _read_fields(path: Path, names: tuple[str, ...]) -> dict:
-    """The JSON object at ``path``, which must hold every name in ``names``."""
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def _read_fields(path: Path, types: dict) -> dict:
+    """The JSON object at ``path``, in which each field named in ``types``
+    holds a value of its type: a float field may hold an int, and a bool is
+    neither."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise CorruptDataError(f"{path}: not a JSON object")
-    missing = [name for name in names if name not in doc]
+    missing = [name for name in types if name not in doc]
     if missing:
         raise CorruptDataError(f"{path}: missing fields {missing}")
+    for name, kind in types.items():
+        value = doc[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise CorruptDataError(f"{path}: bad {name} {value!r}: not {_JSON_TYPES[kind]}")
     return doc
 
 
@@ -210,8 +223,7 @@ def run_experiment(workspace: Path, exp_id: int, parallelism: int = 1) -> Experi
     record.status = STATUS_RUNNING
     save_record(workspace, record)
     jobs = [
-        (record.algo, record.env_id, int(record.base_seed) + k, record.hyperparams,
-         int(record.n_timesteps))
+        (record.algo, record.env_id, record.base_seed + k, record.hyperparams, record.n_timesteps)
         for k in range(record.n_seeds)
     ]
     record.status = STATUS_FAILED
@@ -246,11 +258,8 @@ def seed_runs(workspace: Path, record: ExperimentRecord) -> list[SeedRun]:
         if not path.is_file():
             runs.append(SeedRun(k, "missing"))
             continue
-        meta = _read_fields(path, ("status", "wall_time_s"))
-        try:
-            runs.append(SeedRun(k, str(meta["status"]), float(meta["wall_time_s"])))
-        except (TypeError, ValueError):
-            raise CorruptDataError(f"{path}: bad wall_time_s {meta['wall_time_s']!r}") from None
+        meta = _read_fields(path, {"status": str, "wall_time_s": float})
+        runs.append(SeedRun(k, meta["status"], float(meta["wall_time_s"])))
     return runs
 
 

@@ -6,23 +6,23 @@ evenly spaced checkpoints, and prunes a trial whose checkpoint value falls
 strictly below the median of prior trials at the same checkpoint.  Studies
 are deterministic given their seed, whatever their parallelism.
 
-The configs are drawn up front, in trial order.  With ``parallel`` P > 1
-the trials run in P forked workers (``ioutil.run_in_workers``), handed out
-in trial order, each worker blocking at every checkpoint report until the
+The configs are drawn up front, in trial order.  The trials run in at
+most ``parallel`` forked workers (``ioutil.run_in_workers``), handed out in
+trial order, each worker blocking at every checkpoint report until the
 parent answers continue or prune.
-The parent answers trial i's report through the same decision function as
-the in-process loop, and only once it would read what the sequential study
-reads: at once when i is below ``min_trials_before_prune`` (too few priors
-to prune against), else once every trial j < i has ended.  A trial having
-reported that checkpoint is not enough, since a trial that raises
-NumericError later drops out of the priors.  Trial 0 never waits, so the
-gate cannot deadlock, and ``trials.csv`` and ``best_config.json`` are
-byte-identical for every P.
+The parent answers trial i's report through ``_decide``, and only once it
+would read what the sequential study reads: at once when i is below
+``min_trials_before_prune`` (too few priors to prune against), else once
+every trial j < i has ended.  A trial having reported that checkpoint is
+not enough, since a trial that raises NumericError later drops out of the
+priors.  Trial 0 never waits, so the gate cannot deadlock; with one worker
+its trial is always the oldest unended one, so every report is answered at
+once.  ``trials.csv`` and ``best_config.json`` are byte-identical for
+every P.
 """
 
 from __future__ import annotations
 
-import functools
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -251,44 +251,13 @@ def _decide(
     return True
 
 
-def _run_trial(run_args: tuple, trial_id: int, config: dict, report) -> tuple[float | None, bool]:
-    """Run one trial with seed ``seed + 1 + trial_id``; returns its final
-    value and whether it raised NumericError."""
-    trial_runner, algo, env_id, seed, steps = run_args
+def _run_trial(trial_runner, *args) -> tuple[float | None, bool]:
+    """Run ``trial_runner(*args, report)`` in a worker, whose report asks the
+    parent; returns its final value and whether it raised NumericError."""
     try:
-        return trial_runner(algo, env_id, seed + 1 + trial_id, config, steps, report), False
+        return trial_runner(*args, ask_parent), False
     except NumericError:
         return None, True
-
-
-def _end_trial(trial: Trial, final: float | None, failed: bool) -> None:
-    if failed:
-        trial.state = TRIAL_FAILED
-        trial.final_value = None
-    elif trial.state != TRIAL_PRUNED:
-        trial.state = TRIAL_COMPLETE
-        trial.final_value = None if final is None else float(final)
-
-
-def _run_trials_in_workers(
-    trials: list[Trial], min_trials_before_prune: int, parallel: int, run_args: tuple
-) -> None:
-    """Run the trials in forked workers behind the gate of the module docstring."""
-    jobs = [(run_args, trial.trial_id, trial.config, ask_parent) for trial in trials]
-    unended = set(range(len(trials)))
-    pending = {}  # trial id -> (reply, step, value) awaiting a decision
-    for trial_id, kind, payload, reply in run_in_workers(_run_trial, jobs, parallel):
-        if kind == "ask":
-            pending[trial_id] = (reply, *payload)
-        else:
-            _end_trial(trials[trial_id], *payload)
-            unended.discard(trial_id)
-        oldest = min(unended, default=None)
-        for trial_id in sorted(pending):
-            # The gate: too few priors to prune, or every earlier trial has ended.
-            if trial_id < min_trials_before_prune or trial_id == oldest:
-                reply, step, value = pending.pop(trial_id)
-                reply(_decide(trials, min_trials_before_prune, trial_id, step, value))
 
 
 def run_study(
@@ -306,10 +275,12 @@ def run_study(
 ) -> StudyReport:
     """Run a study and write trials.csv plus best_config.json.
 
-    Trial i trains with seed ``seed + 1 + i``.  ``parallel`` 1 runs the
-    trials one after another in this process; more runs them in that many
-    workers forked from it.  The workers keep this process's BLAS settings,
-    so the files are byte-identical across ``parallel``.
+    Trial i trains with seed ``seed + 1 + i``, in one of at most
+    ``parallel`` workers forked from this process (which needs Linux).  The
+    workers keep this process's BLAS settings, so the files are
+    byte-identical across ``parallel``.  ``trial_runner`` runs in a worker:
+    its result and its exceptions must pickle, and its side effects stay
+    there.
     """
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
@@ -325,13 +296,26 @@ def run_study(
     sampler = np.random.default_rng(seed)
     trials = [Trial(trial_id=i, config=sample_config(space, sampler)) for i in range(n_trials)]
 
-    run_args = (trial_runner, algo, env_id, seed, steps)
-    if parallel == 1:
-        for trial in trials:
-            report = functools.partial(_decide, trials, min_trials_before_prune, trial.trial_id)
-            _end_trial(trial, *_run_trial(run_args, trial.trial_id, trial.config, report))
-    else:
-        _run_trials_in_workers(trials, min_trials_before_prune, parallel, run_args)
+    jobs = [(trial_runner, algo, env_id, seed + 1 + t.trial_id, t.config, steps) for t in trials]
+    unended = set(range(n_trials))
+    pending = {}  # trial id -> (reply, step, value) awaiting a decision
+    for trial_id, kind, payload, reply in run_in_workers(_run_trial, jobs, parallel):
+        if kind == "ask":
+            pending[trial_id] = (reply, *payload)
+        else:
+            trial, (final, failed) = trials[trial_id], payload
+            if failed:
+                trial.state = TRIAL_FAILED
+            elif trial.state != TRIAL_PRUNED:
+                trial.state = TRIAL_COMPLETE
+                trial.final_value = None if final is None else float(final)
+            unended.discard(trial_id)
+        oldest = min(unended, default=None)
+        for trial_id in sorted(pending):
+            # The gate: too few priors to prune, or every earlier trial has ended.
+            if trial_id < min_trials_before_prune or trial_id == oldest:
+                reply, step, value = pending.pop(trial_id)
+                reply(_decide(trials, min_trials_before_prune, trial_id, step, value))
 
     complete = [t for t in trials if t.state == TRIAL_COMPLETE and t.final_value is not None]
     if not complete:

@@ -487,6 +487,9 @@ def test_make_algo_config_rejects_unknown_hyperparameter():
     assert config.lr == 0.001
     assert config.rollout_len == 512
     assert isinstance(config.rollout_len, int)
+    config = make_algo_config("ppo", 1000, {"lr": np.float32(1e-3), "rollout_len": np.int64(512)})
+    assert (config.lr, config.rollout_len) == (float(np.float32(1e-3)), 512)
+    assert (type(config.lr), type(config.rollout_len)) == (float, int)
 
 
 CONFIG_FIELDS = [
@@ -495,7 +498,9 @@ CONFIG_FIELDS = [
     for f in dataclasses.fields(cls)
 ]
 ODD_VALUES = [0, -1, 0.5, 2.7, 1e-3, math.nan, math.inf, -math.inf, 10**400, 2**53 + 1,
-              True, False, None, "", "abc", "nan", "-inf", "1e3", "2.7", " 7 ", str(10**400)]
+              True, False, None, "", "abc", "nan", "-inf", "1e3", "2.7", " 7 ", str(10**400),
+              np.int64(512), np.int32(-1), np.uint8(7), np.float32(1e-3), np.float32(2.5),
+              np.float64(64.0), np.float32(np.nan), np.bool_(True), np.bool_(False)]
 
 
 @given(
@@ -521,7 +526,7 @@ def test_config_table_reads_every_field_exactly_or_rejects_it(value):
         except ValidationError:
             continue
         got = getattr(config, f.name)
-        assert type(got) is type(f.default) and not isinstance(value, bool)
+        assert type(got) is type(f.default) and not isinstance(value, (bool, np.bool_))
         assert -math.inf < got < math.inf  # NaN fails this too
         if isinstance(value, str):
             assert got == float(value) or str(got) == value.strip()

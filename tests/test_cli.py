@@ -482,6 +482,24 @@ def test_malformed_workspace_file_exits_two_naming_it(tmp_path, capsys, command,
     assert where in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("exp_id", True), ("algo", None), ("env_id", 7), ("n_timesteps", "x"), ("n_seeds", "abc"),
+    ("base_seed", 1.5), ("hyperparams", []), ("created_at", {}), ("status", []),
+])
+def test_config_field_of_wrong_type_exits_two_naming_it(tmp_path, capsys, field, value):
+    run(["train", "--algo", "random", "--env", "reach-planar-v1",
+         "--n-timesteps", "100", "--n-seeds", "1", "--workspace", str(tmp_path)])
+    path = tmp_path / "exp_1" / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+    for command in (["evaluate", "--exp-id", "1", "--n-eval-episodes", "2"], ["plot", "--exp-id", "1"]):
+        capsys.readouterr()
+        assert run([*command, "--workspace", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime failure: {path}: bad {field} {value!r}: not ")
+        assert "Traceback" not in err
+    assert not (tmp_path / "benchmark.csv").exists()
+
+
 @pytest.mark.parametrize("command, name, data, code, message", [
     (["plot", "--exp-id", "1"], "exp_1/seed_0/training_log.csv", b"timestep\xff\n", 2,
      "runtime failure: {path}: not UTF-8 at byte offset 8"),

@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -311,6 +312,21 @@ def test_parallel_study_runs_a_closure_trial_runner(tmp_path):
 
     sequential = study_bytes(tmp_path / "p1", closure_runner, 1)
     assert study_bytes(tmp_path / "p2", closure_runner, 2) == sequential
+    assert multiprocessing.active_children() == []
+
+
+def test_sequential_study_runs_its_trials_in_one_forked_worker(tmp_path):
+    def pid_runner(algo, env_id, seed, config, steps, report):
+        report(steps[0], 0.0)
+        return os.getpid()
+
+    study = run_study(
+        tmp_path, "ppo", "reach-planar-v1", {"lr": Uniform(0.1, 1.0)}, n_trials=3,
+        timesteps_per_trial=100, checkpoints=1, seed=0, trial_runner=pid_runner, parallel=1,
+    )
+    pids = {t.final_value for t in study.trials}
+    assert len(pids) == 1
+    assert os.getpid() not in pids
     assert multiprocessing.active_children() == []
 
 
