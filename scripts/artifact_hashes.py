@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the training artifacts of four fixed runs, and the
+"""Print the SHA-256 of the training artifacts of five fixed runs, and the
 evaluation outputs of the PPO one.
 
 Trains, in a temporary workspace, PPO on reach-planar-v1 (4,096 steps,
 2 seeds, base seed 7), TD3 on reach-planar-v3 (1,500 steps,
 learning_starts=500, seed 7), the random baseline on reach-v2 (2,000
 steps, 2 seeds, base seed 7) and on reach-planar-v5, whose actions are
-absolute joint targets (1,000 steps, seed 7).  It prints the hash of every
+absolute joint targets (1,000 steps, seed 7), and last PPO on the 6-DOF
+reach-v3 (1,000 steps, seed 7, rollout_len=300 and minibatch_size=60, so
+the last rollout is a partial one of 100 steps).  It prints the hash of every
 seed's ``training_log.csv`` and ``policy.json``, and the ``seed`` and
 ``status`` of its ``run_meta.json`` (not its wall time).  BLAS is pinned to one
 thread before numpy loads, as ``reachrl`` commands pin it, and the seed runs
@@ -64,6 +66,9 @@ RUNS = (
                 "--n-seeds", "2", "--base-seed", "7"]),
     ("random-absolute", ["--algo", "random", "--env", "reach-planar-v5", "--n-timesteps", "1000",
                          "--n-seeds", "1", "--base-seed", "7"]),
+    ("ppo-6dof", ["--algo", "ppo", "--env", "reach-v3", "--n-timesteps", "1000",
+                  "--n-seeds", "1", "--base-seed", "7", "--hp", "rollout_len=300",
+                  "--hp", "minibatch_size=60"]),
 )
 EVALUATIONS = (("deterministic", []), ("stochastic", ["--stochastic"]))
 TUNE = ["--algo", "ppo", "--env", "reach-v1", "--n-trials", "6",

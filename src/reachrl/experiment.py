@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .agents import (
+    SUPPORTED_ALGOS,
     PolicyArtifact,
     TrainingLog,
     make_algo_config,
@@ -47,7 +48,7 @@ from .agents import (
     training_log_from_csv,
     training_log_to_csv,
 )
-from .envs import registry_lookup
+from .envs import registered_env_ids, registry_lookup
 from .errors import CorruptDataError, LifecycleError, ValidationError, WorkerExited
 from .ioutil import (
     atomic_write_text,
@@ -62,6 +63,7 @@ STATUS_CREATED = "Created"
 STATUS_RUNNING = "Running"
 STATUS_COMPLETE = "Complete"
 STATUS_FAILED = "Failed"
+STATUSES = (STATUS_CREATED, STATUS_RUNNING, STATUS_COMPLETE, STATUS_FAILED)
 
 @dataclass
 class ExperimentRecord:
@@ -129,11 +131,24 @@ def _read_fields(path: Path, types: dict) -> dict:
 
 
 def load_experiment(workspace: Path, exp_id: int) -> ExperimentRecord:
-    """Reconstruct a record from its config.json (round-trip identity)."""
+    """Reconstruct a record from its config.json (round-trip identity); a
+    field whose value no experiment can hold is CorruptDataError."""
     path = exp_dir(workspace, exp_id) / "config.json"
     if not path.is_file():
         raise ValidationError(f"no experiment {exp_id} in workspace {workspace}")
     doc = _read_fields(path, _RECORD_FIELDS)
+    checks = {
+        "exp_id": (doc["exp_id"] == exp_id, f"not its directory's ID {exp_id}"),
+        "n_seeds": (doc["n_seeds"] >= 1, "not at least 1"),
+        "n_timesteps": (doc["n_timesteps"] >= 1, "not at least 1"),
+        "base_seed": (doc["base_seed"] >= 0, "not at least 0"),
+        "status": (doc["status"] in STATUSES, f"not one of {', '.join(STATUSES)}"),
+        "algo": (doc["algo"] in SUPPORTED_ALGOS, f"not one of {', '.join(SUPPORTED_ALGOS)}"),
+        "env_id": (doc["env_id"] in registered_env_ids(), "not a registered env ID"),
+    }
+    for name, (ok, why) in checks.items():
+        if not ok:
+            raise CorruptDataError(f"{path}: bad {name} {doc[name]!r}: {why}")
     known = {name: doc[name] for name in _RECORD_FIELDS}
     extras = {k: v for k, v in doc.items() if k not in _RECORD_FIELDS}
     return ExperimentRecord(**known, extras=extras)

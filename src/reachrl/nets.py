@@ -99,24 +99,41 @@ def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
     raise ValidationError(f"input shape {x.shape} incompatible with dimension {dim}")
 
 
-def mlp_forward_cached(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass returning the output and the cache [input batch, each
-    layer's post-activation output]."""
-    h = _as_batch(x, net.in_dim)
-    cache, last = [h], len(net.weights) - 1
+def _layers(net: Mlp, h: np.ndarray, cache: list) -> np.ndarray:
+    """Run ``h``'s last axis through the layers, appending each layer's
+    post-activation output to ``cache``; returns the output."""
+    last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = h @ w
         h += b
         if k != last:
             np.tanh(h, out=h)
         cache.append(h)
-    return h, cache
+    return h
+
+
+def mlp_forward_cached(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Forward pass returning the output and the cache [input batch, each
+    layer's post-activation output]."""
+    cache = [_as_batch(x, net.in_dim)]
+    return _layers(net, cache[0], cache), cache
 
 
 def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Affine + tanh composition; identity on the output layer."""
     out, _ = mlp_forward_cached(net, x)
     return out[0] if np.ndim(x) == 1 else out
+
+
+def mlp_forward_rows(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """``mlp_forward`` of each row of a (T, in_dim) batch, bit for bit.
+
+    The rows run as a stacked (T, 1, in_dim) matmul chain: numpy sends each
+    (1, K) @ (K, N) slice to the kernel of the 2-D one-row product, so row t
+    holds the bits of ``mlp_forward(net, x[t])``.  A plain (T, K) product
+    sums in another order and differs in most rows.
+    """
+    return _layers(net, _as_batch(x, net.in_dim)[:, None, :], [])[:, 0, :]
 
 
 def mlp_backward_cached(
@@ -240,15 +257,10 @@ def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray)
     return float(summed) if summed.ndim == 0 else summed
 
 
-def gaussian_sample(
-    mean: np.ndarray, log_std: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray | float]:
-    """Draw action = mean + std * z and its log probability."""
-    mean = np.asarray(mean, dtype=float)
-    std = np.exp(np.asarray(log_std, dtype=float))
-    z = rng.standard_normal(mean.shape)
-    action = mean + std * z
-    return action, gaussian_log_prob(mean, log_std, action)
+def gaussian_sample(mean: np.ndarray, log_std: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Draw action = mean + std * z; ``gaussian_log_prob`` scores it."""
+    z = rng.standard_normal(np.shape(mean))
+    return mean + np.exp(log_std) * z
 
 
 def gaussian_entropy(log_std: np.ndarray) -> float:

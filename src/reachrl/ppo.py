@@ -5,6 +5,13 @@ state-independent learnable log standard deviation; policy net, log_std and
 value net are one parameter vector under a single Adam optimizer, and the
 global gradient norm is clipped before every step.  Rollouts are consecutive slices of one
 ``envs.run_episodes`` stream per ``train`` call; an episode may span two.
+
+A rollout step does only the work that must run in order: the policy
+forward, the noise draw and the env step.  The values and log
+probabilities wait for the rollout's end, when one row-exact
+``mlp_forward_rows`` pass and one ``gaussian_log_prob`` call give every
+row the bits a per-step call would; nothing changes the nets or
+``log_std`` during a rollout, so training is unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .nets import (
     mlp_backward_cached,
     mlp_forward,
     mlp_forward_cached,
+    mlp_forward_rows,
     mlp_init,
     pack,
 )
@@ -231,10 +239,10 @@ class PpoTrainer:
         )
 
     def act(self, obs):
-        """Sample an action; its log probability waits for collect_rollout."""
-        mean = mlp_forward(self.policy, obs)
-        action, self._log_prob = gaussian_sample(mean, self.head.log_std, self.sampler)
-        return action
+        """Sample an action from the policy at ``obs``; its mean waits in
+        ``self._mean`` for collect_rollout."""
+        self._mean = mlp_forward(self.policy, obs)
+        return gaussian_sample(self._mean, self.head.log_std, self.sampler)
 
     def collect_rollout(self, steps, n_steps: int, on_step=None) -> RolloutBatch | None:
         """Take the next n_steps transitions from ``steps``, a ``run_episodes``
@@ -246,29 +254,42 @@ class PpoTrainer:
         observation); the done flag still cuts the GAE recursion at the reset
         boundary.  Without this bootstrap the value function treats the
         horizon as death and learning on the reach task is unreliable.
+
+        Each step only records its observation, action, policy mean, reward
+        and done flag, and a horizon's final observation.  After the last
+        step, one ``mlp_forward_rows`` pass computes the values, the
+        bootstraps and ``next_value``, and one ``gaussian_log_prob`` call the
+        log probabilities; each row has the bits of its per-step call, and
+        the bootstrap is the same two float operations, so the batch is the
+        one a per-step rollout would build.  A stopped rollout skips the pass.
         """
-        obs_buf, act_buf, logp_buf, rew_buf, done_buf, val_buf = [], [], [], [], [], []
+        obs_buf, act_buf, mean_buf, rew_buf, done_buf, final_buf = [], [], [], [], [], []
         for i, (step, obs, action, result) in enumerate(islice(steps, n_steps), start=1):
             obs_buf.append(obs)
             act_buf.append(action)
-            logp_buf.append(self._log_prob)
-            val_buf.append(float(mlp_forward(self.value_net, obs)[0]))
-            reward = result.reward
-            if result.done:
-                reward += self.config.gamma * float(mlp_forward(self.value_net, result.observation)[0])
-            rew_buf.append(reward)
+            mean_buf.append(self._mean)
+            rew_buf.append(result.reward)
             done_buf.append(result.done)
+            if result.done:
+                final_buf.append(result.observation)
             if i < n_steps and on_step is not None and not on_step(step):
                 return None
+        # Rows: each step's observation, each horizon's final one, the last.
+        n = len(obs_buf)
+        rows = np.array(obs_buf + final_buf + [result.observation])
+        values = mlp_forward_rows(self.value_net, rows)[:, 0]
+        rewards, dones = np.array(rew_buf), np.array(done_buf)
+        rewards[dones] += self.config.gamma * values[n:-1]
+        actions = np.array(act_buf)
         return RolloutBatch(
-            observations=np.array(obs_buf),
-            actions=np.array(act_buf),
-            log_probs=np.array(logp_buf),
-            rewards=np.array(rew_buf),
-            dones=np.array(done_buf, dtype=float),
-            values=np.array(val_buf),
+            observations=rows[:n],
+            actions=actions,
+            log_probs=gaussian_log_prob(np.array(mean_buf), self.head.log_std, actions),
+            rewards=rewards,
+            dones=dones.astype(float),
+            values=values[:n],
             # Masked by the done flag when the rollout ends on a horizon.
-            next_value=float(mlp_forward(self.value_net, result.observation)[0]),
+            next_value=float(values[-1]),
         )
 
     def train(self, log, on_step):

@@ -114,14 +114,52 @@ def small_ppo_nets(obs_dim=3, act_dim=2, seed=0):
     return policy, head, value_net
 
 
+def recorded(steps, results):
+    """``steps`` as it is, appending each step's result to ``results``."""
+    for item in steps:
+        results.append(item[3])
+        yield item
+
+
 def test_ppo_log_prob_bookkeeping_exact():
+    # 150 steps cross a horizon and end mid-episode; 200 end on a horizon.
+    for n_steps in (150, 200):
+        env = make_env("reach-planar-v1", seed=0)
+        config = PpoConfig(n_timesteps=n_steps, rollout_len=n_steps, minibatch_size=n_steps)
+        trainer = PpoTrainer(env, config, seed=0)
+        results = []
+        steps = run_episodes(env, trainer.act, TrainingLog().add, n_steps)
+        batch = trainer.collect_rollout(recorded(steps, results), n_steps)
+        assert len(batch.rewards) == n_steps and batch.dones.sum() == n_steps // 100
+
+        def value(obs):
+            return float(mlp_forward(trainer.value_net, obs)[0])
+
+        for i, result in enumerate(results):
+            mean = mlp_forward(trainer.policy, batch.observations[i])
+            lp = gaussian_log_prob(mean, trainer.head.log_std, batch.actions[i])
+            assert lp == batch.log_probs[i]
+            assert value(batch.observations[i]) == batch.values[i]
+            reward = result.reward
+            if result.done:
+                reward += config.gamma * value(result.observation)
+            assert reward == batch.rewards[i]
+            assert float(result.done) == batch.dones[i]
+        assert value(results[-1].observation) == batch.next_value
+
+
+def test_ppo_rollout_stopped_by_on_step_returns_none():
     env = make_env("reach-planar-v1", seed=0)
-    trainer = PpoTrainer(env, PpoConfig(n_timesteps=64, rollout_len=64, minibatch_size=32), seed=0)
-    batch = trainer.collect_rollout(run_episodes(env, trainer.act, TrainingLog().add, 64), 64)
-    for i in range(64):
-        mean = mlp_forward(trainer.policy, batch.observations[i])
-        lp = gaussian_log_prob(mean, trainer.head.log_std, batch.actions[i])
-        assert lp == batch.log_probs[i]
+    trainer = PpoTrainer(env, PpoConfig(n_timesteps=150, rollout_len=150, minibatch_size=150), 0)
+    seen = []
+
+    def on_step(step):
+        seen.append(step)
+        return step < 120
+
+    steps = run_episodes(env, trainer.act, TrainingLog().add, 150)
+    assert trainer.collect_rollout(steps, 150, on_step) is None
+    assert seen == list(range(1, 121))
 
 
 def test_ppo_ratio_one_on_first_minibatch():

@@ -500,6 +500,25 @@ def test_config_field_of_wrong_type_exits_two_naming_it(tmp_path, capsys, field,
     assert not (tmp_path / "benchmark.csv").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("exp_id", 2), ("exp_id", -1), ("n_seeds", 0), ("n_seeds", -1), ("n_timesteps", 0),
+    ("n_timesteps", -1), ("base_seed", -1), ("status", "x"), ("status", "complete"),
+    ("algo", "x"), ("algo", "PPO"), ("env_id", "x"),
+])
+def test_config_field_of_impossible_value_exits_two_naming_it(tmp_path, capsys, field, value):
+    run(["train", "--algo", "random", "--env", "reach-planar-v1",
+         "--n-timesteps", "100", "--n-seeds", "1", "--workspace", str(tmp_path)])
+    path = tmp_path / "exp_1" / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+    for command in (["evaluate", "--exp-id", "1", "--n-eval-episodes", "2"], ["plot", "--exp-id", "1"]):
+        capsys.readouterr()
+        assert run([*command, "--workspace", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime failure: {path}: bad {field} {value!r}: not ")
+        assert "Traceback" not in err
+    assert not (tmp_path / "benchmark.csv").exists()
+
+
 @pytest.mark.parametrize("command, name, data, code, message", [
     (["plot", "--exp-id", "1"], "exp_1/seed_0/training_log.csv", b"timestep\xff\n", 2,
      "runtime failure: {path}: not UTF-8 at byte offset 8"),

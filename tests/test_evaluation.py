@@ -72,7 +72,7 @@ def reference_act(policy, obs, deterministic, rng):
     if policy.kind == "tanh":
         return np.tanh(mlp_forward(policy.net, obs))
     mean = mlp_forward(policy.net, obs)
-    return mean if deterministic else gaussian_sample(mean, policy.log_std, rng)[0]
+    return mean if deterministic else gaussian_sample(mean, policy.log_std, rng)
 
 
 def reference_evaluate(policy, env_id, n_episodes, deterministic, seed, goal_override=None):

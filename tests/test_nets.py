@@ -17,6 +17,7 @@ from reachrl.nets import (
     mlp_backward_cached,
     mlp_forward,
     mlp_forward_cached,
+    mlp_forward_rows,
     mlp_from_dict,
     mlp_init,
     mlp_to_dict,
@@ -67,6 +68,20 @@ def test_forward_batched_matches_vector_calls():
     # BLAS may schedule the two shapes differently; agreement is to rounding.
     for i in range(6):
         np.testing.assert_allclose(batched[i], mlp_forward(net, xs[i]), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("out_dim", [6, 1], ids=["policy", "value"])
+@pytest.mark.parametrize("obs_dim", [5, 9, 12])
+@pytest.mark.parametrize("n_rows", [1, 2049])
+def test_forward_rows_is_bitwise_the_vector_calls(out_dim, obs_dim, n_rows):
+    # Guards the stacked one-row products: a numpy or BLAS build that stops
+    # sending them to the one-row kernel would move PPO's rollout values.
+    rng = np.random.default_rng(obs_dim * out_dim + n_rows)
+    net = mlp_init([obs_dim, 64, 64, out_dim], rng)
+    xs = rng.normal(size=(n_rows, obs_dim))
+    rows = mlp_forward_rows(net, xs)
+    assert rows.shape == (n_rows, out_dim)
+    assert np.array_equal(rows, [mlp_forward(net, x) for x in xs])
 
 
 def test_forward_does_not_mutate_parameters():
@@ -245,29 +260,34 @@ def test_log_prob_matches_high_precision_formula():
 
 def test_sample_degenerate_std_collapses_to_mean():
     mean = np.array([0.4, -0.2])
-    action, _ = gaussian_sample(mean, np.full(2, -20.0), np.random.default_rng(0))
+    action = gaussian_sample(mean, np.full(2, -20.0), np.random.default_rng(0))
     np.testing.assert_allclose(action, mean, atol=1e-8)
 
 
 def test_sample_deterministic_given_seed():
     mean, log_std = np.zeros(3), np.zeros(3)
-    a1, lp1 = gaussian_sample(mean, log_std, np.random.default_rng(77))
-    a2, lp2 = gaussian_sample(mean, log_std, np.random.default_rng(77))
-    assert np.array_equal(a1, a2) and lp1 == lp2
+    a1 = gaussian_sample(mean, log_std, np.random.default_rng(77))
+    a2 = gaussian_sample(mean, log_std, np.random.default_rng(77))
+    assert np.array_equal(a1, a2)
 
 
 def test_sample_log_prob_consistency_exact():
+    # Actions drawn one at a time, scored in one batch call afterwards (as
+    # PPO's rollout does): each row has the bits of the one-action call.
     rng = np.random.default_rng(9)
-    mean = rng.normal(size=4)
-    log_std = rng.uniform(-1, 0.5, size=4)
-    action, lp = gaussian_sample(mean, log_std, rng)
-    assert gaussian_log_prob(mean, log_std, action) == lp
+    for n_actions in (2, 6):
+        means = rng.normal(size=(300, n_actions))
+        log_std = rng.uniform(-1, 0.5, size=n_actions)
+        actions = np.array([gaussian_sample(mean, log_std, rng) for mean in means])
+        batch = gaussian_log_prob(means, log_std, actions)
+        assert batch.shape == (300,)
+        assert batch.tolist() == [gaussian_log_prob(m, log_std, a) for m, a in zip(means, actions)]
 
 
 def test_sample_moments_match_standard_normal():
     rng = np.random.default_rng(10)
     samples = np.array(
-        [gaussian_sample(np.zeros(1), np.zeros(1), rng)[0][0] for _ in range(10_000)]
+        [gaussian_sample(np.zeros(1), np.zeros(1), rng)[0] for _ in range(10_000)]
     )
     assert abs(samples.mean()) < 0.05
     assert abs(samples.var() - 1.0) < 0.1
