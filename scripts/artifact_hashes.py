@@ -30,11 +30,16 @@ hashes of each study's ``trials.csv`` and ``best_config.json``; the two
 pairs must be equal: both studies run their trials in forked workers, one
 worker at ``--parallel 1``.
 
-Last, it trains the PPO run again with ``--parallel 1`` and prints its seed
+Then it trains the PPO run again with ``--parallel 1`` and prints its seed
 lines, which must equal those of the first PPO run (default ``--parallel``,
 the usable cores up to 2).
 
-It exits 1 if either of those must-equal checks fails, after naming on
+Last, it runs one small TD3 study on reach-planar-v1 (4 trials x 1,500
+steps, 3 checkpoints, so that the checkpoints at 1,000 and 1,500 score
+actors after updates) at ``--parallel 1`` and at ``--parallel 2``, and
+prints its hashes as for the PPO study; the two pairs must be equal.
+
+It exits 1 if any of those must-equal checks fails, after naming on
 stderr the first line that differs from its counterpart; else 0.
 
     PYTHONPATH=src python scripts/artifact_hashes.py
@@ -71,8 +76,10 @@ RUNS = (
                   "--hp", "minibatch_size=60"]),
 )
 EVALUATIONS = (("deterministic", []), ("stochastic", ["--stochastic"]))
-TUNE = ["--algo", "ppo", "--env", "reach-v1", "--n-trials", "6",
-        "--timesteps-per-trial", "256", "--checkpoints", "2"]
+PPO_TUNE = ["--algo", "ppo", "--env", "reach-v1", "--n-trials", "6",
+            "--timesteps-per-trial", "256", "--checkpoints", "2"]
+TD3_TUNE = ["--algo", "td3", "--env", "reach-planar-v1", "--n-trials", "4",
+            "--timesteps-per-trial", "1500", "--checkpoints", "3"]
 
 
 def run_cli(name: str, args: list[str]) -> str:
@@ -117,6 +124,22 @@ def check_equal(label: str, lines: list[str], other_label: str, others: list[str
     return True
 
 
+def run_studies(workspace: str, name: str, args: list[str], first_id: int) -> bool:
+    """Run the study at ``--parallel`` 1 and 2 as studies ``first_id`` and
+    the next, print their hashes, and return whether the two are equal."""
+    study_lines = {}
+    for study_id, parallel in enumerate((1, 2), start=first_id):
+        run_cli(name, ["tune", *args, "--parallel", str(parallel), "--workspace", workspace])
+        study = Path(workspace) / "studies" / f"study_{study_id}"
+        study_lines[parallel] = print_lines(
+            f"{name} tune parallel={parallel}",
+            [f"{artifact} {sha256(study / artifact)}"
+             for artifact in ("trials.csv", "best_config.json")],
+        )
+    return check_equal(f"{name} tune parallel=1", study_lines[1],
+                       f"{name} tune parallel=2", study_lines[2])
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as workspace:
         seed_lines = {}
@@ -139,22 +162,12 @@ def main() -> int:
             run_cli("ppo", [*args, "--workspace", workspace])
             for suffix in (".data.csv", ".svg"):
                 print(f"ppo {args[0]} {figure}{suffix} {sha256(Path(workspace) / (figure + suffix))}")
-        study_lines = {}
-        for study_id, parallel in enumerate((1, 2), start=1):
-            run_cli("ppo", ["tune", *TUNE, "--parallel", str(parallel), "--workspace", workspace])
-            study = Path(workspace) / "studies" / f"study_{study_id}"
-            study_lines[parallel] = print_lines(
-                f"ppo tune parallel={parallel}",
-                [f"{artifact} {sha256(study / artifact)}"
-                 for artifact in ("trials.csv", "best_config.json")],
-            )
+        equal = [run_studies(workspace, "ppo", PPO_TUNE, first_id=1)]
         name, args = RUNS[0]
         run_cli(name, ["train", *args, "--parallel", "1", "--workspace", workspace])
         rerun = print_seed_lines(f"{name} parallel=1", Path(workspace) / f"exp_{len(RUNS) + 1}")
-    equal = [  # a list, not all(...) over a generator, so that both checks report
-        check_equal("ppo tune parallel=1", study_lines[1], "ppo tune parallel=2", study_lines[2]),
-        check_equal(name, seed_lines[name], f"{name} parallel=1", rerun),
-    ]
+        equal.append(check_equal(name, seed_lines[name], f"{name} parallel=1", rerun))
+        equal.append(run_studies(workspace, "td3", TD3_TUNE, first_id=3))
     return 0 if all(equal) else 1
 
 

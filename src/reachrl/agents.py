@@ -5,9 +5,11 @@ from it with fixed offsets: env seed = s, network init seed = s + 1000,
 action/exploration noise seed = s + 2000 (evaluation envs use s + 3000).
 
 A trainer owns its env, nets and rngs exclusively, so runs with different
-seeds can execute concurrently with zero shared mutable state.  Every
-trainer steps through ``envs.run_episodes`` with ``TrainingLog.add`` as its
-episode callback, and calls ``on_step(s)`` once it has used step s.
+seeds can execute concurrently with zero shared mutable state.  It only
+acts and observes: ``train`` is the one training loop, which steps every
+trainer through ``envs.run_episodes`` with ``TrainingLog.add`` as its
+episode callback, hands the trainer each step, and then runs the
+checkpoints due at that step.
 
 The PPO and TD3 modules are imported on first use, so loading and
 evaluating a policy loads no trainer.
@@ -191,7 +193,8 @@ def policy_from_json(text: str | bytes, source: str = "text") -> PolicyArtifact:
 def _algo(algo: str) -> tuple[type, type]:
     """The config class and the trainer of ``algo``; the one place an unknown
     algo is rejected.  A trainer takes ``(env, config, seed)`` and has
-    ``artifact()`` and ``train(log, on_step)``."""
+    ``act(obs)``, ``observe(step, obs, action, result)``, which learns from
+    a step once its action ran, and ``artifact()``."""
     if algo == "ppo":
         from .ppo import PpoConfig, PpoTrainer
 
@@ -225,53 +228,48 @@ class RandomTrainer:
 
     def __init__(self, env, config: AlgoConfig, seed: int):
         self.env = env
-        self.config = config
         self.rng = np.random.default_rng(seed + NOISE_SEED_OFFSET)
 
     def artifact(self):
         return PolicyArtifact(kind="random", n_actions=self.env.config.n_joints)
 
-    def train(self, log, on_step):
-        act_dim = self.env.config.n_joints
-        act = lambda obs: self.rng.uniform(-1.0, 1.0, size=act_dim)
-        for step, *_ in run_episodes(self.env, act, log.add, self.config.n_timesteps):
-            if not on_step(step):
-                break
+    def act(self, obs):
+        return self.rng.uniform(-1.0, 1.0, size=self.env.config.n_joints)
+
+    def observe(self, step, obs, action, result):
+        pass
 
 
 def train(
     algo: str,
     env_id: str,
     seed: int,
-    config=None,
+    config,
     checkpoint_steps: tuple[int, ...] = (),
     checkpoint_fn: Callable[[int, PolicyArtifact], bool] | None = None,
 ) -> tuple[PolicyArtifact, TrainingLog]:
     """Run one fully deterministic training run and return its artifacts.
 
-    ``checkpoint_fn(step, policy)`` fires for each step in
-    ``checkpoint_steps`` once training has used that step, so it scores the
-    policy that training would return if it stopped there (for PPO, after
-    the update at a rollout's end); returning False stops the run early
-    (used by the hyperparameter study pruner).  Raises NumericError with the
+    Each of the ``config.n_timesteps`` steps goes to ``trainer.observe``
+    once its action ran.  Then ``checkpoint_fn(step, policy)`` fires for
+    each step in ``checkpoint_steps`` that has come, so it scores the policy
+    that training would return if it stopped there (for PPO, after the
+    update at a rollout's end); returning False stops the run early (used
+    by the hyperparameter study pruner).  Raises NumericError with the
     partial log attached if training diverges.
     """
-    algo = algo.lower()
-    _, Trainer = _algo(algo)
-    if config is None:
-        config = make_algo_config(algo, n_timesteps=100_000)
+    _, Trainer = _algo(algo.lower())
     log = TrainingLog()
     trainer = Trainer(make_env(env_id, seed=seed), config, seed)
     pending = sorted(checkpoint_steps) if checkpoint_fn is not None else []
-
-    def on_step(step):
-        while pending and step >= pending[0]:
-            if not checkpoint_fn(pending.pop(0), trainer.artifact()):
-                return False
-        return True
-
+    # Local: a stream stored on the trainer would hold trainer.act, a cycle.
+    steps = run_episodes(trainer.env, trainer.act, log.add, config.n_timesteps)
     try:
-        trainer.train(log, on_step)
+        for step, obs, action, result in steps:
+            trainer.observe(step, obs, action, result)
+            while pending and step >= pending[0]:
+                if not checkpoint_fn(pending.pop(0), trainer.artifact()):
+                    return trainer.artifact(), log
     except NumericError as err:
         err.training_log = log
         raise

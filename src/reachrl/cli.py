@@ -75,10 +75,15 @@ def _parallelism(requested: int | None, cap: int) -> int:
 
 def _parse_hps(pairs: list[str] | None) -> dict:
     """The ``--hp`` pairs as {key: text}; the config's field table reads the text."""
+    hps = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ValidationError(f"--hp expects key=value, got {pair!r}")
-    return dict(pair.split("=", 1) for pair in pairs or [])
+        key, text = pair.split("=", 1)
+        if key in hps:
+            raise ValidationError(f"--hp {key} given twice")
+        hps[key] = text
+    return hps
 
 
 def build_parser() -> _Parser:

@@ -30,6 +30,7 @@ policies and the training logs.
 
 from __future__ import annotations
 
+import sys
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -130,6 +131,13 @@ def _read_fields(path: Path, types: dict) -> dict:
     return doc
 
 
+def _check(path: Path, doc: dict, checks: dict) -> None:
+    """CorruptDataError naming the first field of ``checks``, {name: (ok, why)}, not ok."""
+    for name, (ok, why) in checks.items():
+        if not ok:
+            raise CorruptDataError(f"{path}: bad {name} {doc[name]!r}: {why}")
+
+
 def load_experiment(workspace: Path, exp_id: int) -> ExperimentRecord:
     """Reconstruct a record from its config.json (round-trip identity); a
     field whose value no experiment can hold is CorruptDataError."""
@@ -137,7 +145,7 @@ def load_experiment(workspace: Path, exp_id: int) -> ExperimentRecord:
     if not path.is_file():
         raise ValidationError(f"no experiment {exp_id} in workspace {workspace}")
     doc = _read_fields(path, _RECORD_FIELDS)
-    checks = {
+    _check(path, doc, {
         "exp_id": (doc["exp_id"] == exp_id, f"not its directory's ID {exp_id}"),
         "n_seeds": (doc["n_seeds"] >= 1, "not at least 1"),
         "n_timesteps": (doc["n_timesteps"] >= 1, "not at least 1"),
@@ -145,10 +153,7 @@ def load_experiment(workspace: Path, exp_id: int) -> ExperimentRecord:
         "status": (doc["status"] in STATUSES, f"not one of {', '.join(STATUSES)}"),
         "algo": (doc["algo"] in SUPPORTED_ALGOS, f"not one of {', '.join(SUPPORTED_ALGOS)}"),
         "env_id": (doc["env_id"] in registered_env_ids(), "not a registered env ID"),
-    }
-    for name, (ok, why) in checks.items():
-        if not ok:
-            raise CorruptDataError(f"{path}: bad {name} {doc[name]!r}: {why}")
+    })
     known = {name: doc[name] for name in _RECORD_FIELDS}
     extras = {k: v for k, v in doc.items() if k not in _RECORD_FIELDS}
     return ExperimentRecord(**known, extras=extras)
@@ -266,7 +271,9 @@ def run_experiment(workspace: Path, exp_id: int, parallelism: int = 1) -> Experi
 
 
 def seed_runs(workspace: Path, record: ExperimentRecord) -> list[SeedRun]:
-    """Each seed run's status and wall time, from its run_meta.json."""
+    """Each seed run's status and wall time, from its run_meta.json; a
+    status but "complete" or "failed", or a wall time that is not a finite
+    number of at least 0, is CorruptDataError."""
     runs = []
     for k in range(record.n_seeds):
         path = seed_dir(workspace, record.exp_id, k) / "run_meta.json"
@@ -274,6 +281,11 @@ def seed_runs(workspace: Path, record: ExperimentRecord) -> list[SeedRun]:
             runs.append(SeedRun(k, "missing"))
             continue
         meta = _read_fields(path, {"status": str, "wall_time_s": float})
+        _check(path, meta, {
+            "status": (meta["status"] in ("complete", "failed"), "not one of complete, failed"),
+            "wall_time_s": (0 <= meta["wall_time_s"] <= sys.float_info.max,
+                            "not a finite number of at least 0"),
+        })
         runs.append(SeedRun(k, meta["status"], float(meta["wall_time_s"])))
     return runs
 

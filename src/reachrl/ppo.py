@@ -3,8 +3,10 @@
 On-policy trainer over the reach-env interface.  The Gaussian policy uses a
 state-independent learnable log standard deviation; policy net, log_std and
 value net are one parameter vector under a single Adam optimizer, and the
-global gradient norm is clipped before every step.  Rollouts are consecutive slices of one
-``envs.run_episodes`` stream per ``train`` call; an episode may span two.
+global gradient norm is clipped before every step.  ``agents.train`` drives
+the steps; the trainer records each one and updates at a rollout's end,
+every ``rollout_len`` steps and at ``n_timesteps``, so an episode may span
+two rollouts.
 
 A rollout step does only the work that must run in order: the policy
 forward, the noise draw and the env step.  The values and log
@@ -17,12 +19,10 @@ row the bits a per-step call would; nothing changes the nets or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, AlgoConfig, PolicyArtifact, hp
-from .envs import run_episodes
 from .errors import NumericError, ValidationError
 from .nets import (
     GaussianHead,
@@ -230,6 +230,8 @@ class PpoTrainer:
         self.sampler = np.random.default_rng(seed + NOISE_SEED_OFFSET)
         self.params = pack([self.policy, self.head, self.value_net])
         self.adam = adam_init(self.params, config.lr)
+        self._steps = []  # (obs, action, mean, reward, done) of each step of this rollout
+        self._finals = []  # each horizon's final observation, then the rollout's last
 
     def artifact(self):
         """The current policy, as a copy that later updates leave alone."""
@@ -240,74 +242,53 @@ class PpoTrainer:
 
     def act(self, obs):
         """Sample an action from the policy at ``obs``; its mean waits in
-        ``self._mean`` for collect_rollout."""
+        ``self._mean`` for ``observe``."""
         self._mean = mlp_forward(self.policy, obs)
         return gaussian_sample(self._mean, self.head.log_std, self.sampler)
 
-    def collect_rollout(self, steps, n_steps: int, on_step=None) -> RolloutBatch | None:
-        """Take the next n_steps transitions from ``steps``, a ``run_episodes``
-        stream driven by ``self.act``; None if ``on_step`` stopped it.
+    def observe(self, step, obs, action, result):
+        """Record the step; at a rollout's end, update on the rollout."""
+        self._steps.append((obs, action, self._mean, result.reward, result.done))
+        if result.done:
+            self._finals.append(result.observation)
+        cfg = self.config
+        if step % cfg.rollout_len == 0 or step == cfg.n_timesteps:
+            self._finals.append(result.observation)
+            ppo_update(self.policy, self.head, self.value_net, self.params,
+                       self.collect_rollout(), cfg, self.adam, self.sampler)
 
-        ``on_step`` sees every step but the last, which ``train`` reports after
-        the update.  Episode ends are time limits, not true terminals, so the
-        final reward of each episode is augmented with gamma * V(final
-        observation); the done flag still cuts the GAE recursion at the reset
-        boundary.  Without this bootstrap the value function treats the
-        horizon as death and learning on the reach task is unreliable.
+    def collect_rollout(self) -> RolloutBatch:
+        """The batch of the steps recorded since the last one, which it clears;
+        ``observe`` calls it once it has recorded a rollout's last observation.
 
-        Each step only records its observation, action, policy mean, reward
-        and done flag, and a horizon's final observation.  After the last
-        step, one ``mlp_forward_rows`` pass computes the values, the
-        bootstraps and ``next_value``, and one ``gaussian_log_prob`` call the
-        log probabilities; each row has the bits of its per-step call, and
-        the bootstrap is the same two float operations, so the batch is the
-        one a per-step rollout would build.  A stopped rollout skips the pass.
+        Episode ends are time limits, not true terminals, so the final reward
+        of each episode is augmented with gamma * V(final observation); the
+        done flag still cuts the GAE recursion at the reset boundary.
+        Without this bootstrap the value function treats the horizon as
+        death and learning on the reach task is unreliable.
+
+        One ``mlp_forward_rows`` pass computes the values, the bootstraps and
+        ``next_value``, and one ``gaussian_log_prob`` call the log
+        probabilities; each row has the bits of its per-step call, and the
+        bootstrap is the same two float operations, so the batch is the one
+        a per-step rollout would build.
         """
-        obs_buf, act_buf, mean_buf, rew_buf, done_buf, final_buf = [], [], [], [], [], []
-        for i, (step, obs, action, result) in enumerate(islice(steps, n_steps), start=1):
-            obs_buf.append(obs)
-            act_buf.append(action)
-            mean_buf.append(self._mean)
-            rew_buf.append(result.reward)
-            done_buf.append(result.done)
-            if result.done:
-                final_buf.append(result.observation)
-            if i < n_steps and on_step is not None and not on_step(step):
-                return None
+        observations, actions, means, rewards, dones = zip(*self._steps)
         # Rows: each step's observation, each horizon's final one, the last.
-        n = len(obs_buf)
-        rows = np.array(obs_buf + final_buf + [result.observation])
+        n = len(observations)
+        rows = np.array(observations + tuple(self._finals))
+        self._steps, self._finals = [], []
         values = mlp_forward_rows(self.value_net, rows)[:, 0]
-        rewards, dones = np.array(rew_buf), np.array(done_buf)
+        rewards, dones = np.array(rewards), np.array(dones)
         rewards[dones] += self.config.gamma * values[n:-1]
-        actions = np.array(act_buf)
+        actions = np.array(actions)
         return RolloutBatch(
             observations=rows[:n],
             actions=actions,
-            log_probs=gaussian_log_prob(np.array(mean_buf), self.head.log_std, actions),
+            log_probs=gaussian_log_prob(np.array(means), self.head.log_std, actions),
             rewards=rewards,
             dones=dones.astype(float),
             values=values[:n],
             # Masked by the done flag when the rollout ends on a horizon.
             next_value=float(values[-1]),
         )
-
-    def train(self, log, on_step):
-        """Roll out and update until n_timesteps; ``on_step(step)`` runs once
-        step is used, so at a rollout's end after its update, and returning
-        False stops training.
-
-        The step stream is local to this call: a stream stored on the trainer
-        would hold ``self.act`` and so the trainer itself, a reference cycle.
-        """
-        cfg = self.config
-        steps = run_episodes(self.env, self.act, log.add, cfg.n_timesteps)
-        for start in range(0, cfg.n_timesteps, cfg.rollout_len):
-            n_steps = min(cfg.rollout_len, cfg.n_timesteps - start)
-            batch = self.collect_rollout(steps, n_steps, on_step)
-            if batch is None:
-                return
-            ppo_update(self.policy, self.head, self.value_net, self.params, batch, cfg,
-                       self.adam, self.sampler)
-            if not on_step(start + n_steps):
-                return

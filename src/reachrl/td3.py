@@ -2,10 +2,10 @@
 
 Off-policy trainer over the reach-env interface.  The actor squashes its MLP
 output through tanh so actions live in [-1, 1]; critics take the
-concatenated (observation, action) vector.  The trainer steps through
-``envs.run_episodes`` and updates before ``on_step`` sees the step.  Episodes
-end only by time limit, so every target bootstraps, r + gamma * min(Q1', Q2'),
-and the buffer keeps no done flag (Pardo et al., ICML 2018).
+concatenated (observation, action) vector.  ``agents.train`` drives the
+steps, and the trainer stores and learns from each before its checkpoints.
+Episodes end only by time limit, so every target bootstraps, r + gamma *
+min(Q1', Q2'), and the buffer keeps no done flag (Pardo et al., ICML 2018).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, AlgoConfig, PolicyArtifact, hp
-from .envs import run_episodes
 from .errors import NumericError, ValidationError
 from .nets import (
     Mlp,
@@ -217,18 +216,14 @@ class Td3Trainer:
         noise = self.noise_rng.normal(0.0, self.config.explore_noise, size=size)
         return np.clip(actor_action(self.nets.actor, obs) + noise, -1.0, 1.0)
 
-    def train(self, log, on_step):
-        """Step, store and update until n_timesteps; ``on_step(step)`` runs
-        after each step's update, and returning False stops training."""
+    def observe(self, step, obs, action, result):
+        """Store the transition, then update once learning has started."""
         cfg = self.config
-        for step, obs, action, result in run_episodes(self.env, self.act, log.add, cfg.n_timesteps):
-            self.global_step = step
-            self.buffer.push(obs, action, result.reward, result.observation)
-            if step >= cfg.learning_starts and self.buffer.size >= cfg.batch_size:
-                self.update_count += 1
-                td3_update(
-                    self.nets, self.buffer, cfg, step, self.noise_rng, self.update_count,
-                    self.critic_adam, self.actor_adam,
-                )
-            if not on_step(step):
-                return
+        self.global_step = step
+        self.buffer.push(obs, action, result.reward, result.observation)
+        if step >= cfg.learning_starts and self.buffer.size >= cfg.batch_size:
+            self.update_count += 1
+            td3_update(
+                self.nets, self.buffer, cfg, step, self.noise_rng, self.update_count,
+                self.critic_adam, self.actor_adam,
+            )

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from reachrl.envs import make_env, registry_lookup, run_episodes
 from reachrl.errors import ValidationError
 from reachrl.ioutil import json_text
 from reachrl.nets import GaussianHead, gaussian_log_prob, mlp_forward, mlp_init
+from reachrl import ppo
 from reachrl.ppo import (
     PpoConfig,
     PpoTrainer,
@@ -114,11 +116,18 @@ def small_ppo_nets(obs_dim=3, act_dim=2, seed=0):
     return policy, head, value_net
 
 
-def recorded(steps, results):
-    """``steps`` as it is, appending each step's result to ``results``."""
-    for item in steps:
-        results.append(item[3])
-        yield item
+def observed_batch(trainer, n_steps, results=None):
+    """The batch that ``trainer`` passes to its update once it has observed
+    ``n_steps`` steps that end a rollout; the update does not run.  Each
+    step's result is appended to ``results``, if given."""
+    batches = []
+    with mock.patch.object(ppo, "ppo_update", lambda *args: batches.append(args[4])):
+        for step, *transition in run_episodes(trainer.env, trainer.act, TrainingLog().add, n_steps):
+            trainer.observe(step, *transition)
+            if results is not None:
+                results.append(transition[-1])
+    [batch] = batches
+    return batch
 
 
 def test_ppo_log_prob_bookkeeping_exact():
@@ -128,8 +137,7 @@ def test_ppo_log_prob_bookkeeping_exact():
         config = PpoConfig(n_timesteps=n_steps, rollout_len=n_steps, minibatch_size=n_steps)
         trainer = PpoTrainer(env, config, seed=0)
         results = []
-        steps = run_episodes(env, trainer.act, TrainingLog().add, n_steps)
-        batch = trainer.collect_rollout(recorded(steps, results), n_steps)
+        batch = observed_batch(trainer, n_steps, results)
         assert len(batch.rewards) == n_steps and batch.dones.sum() == n_steps // 100
 
         def value(obs):
@@ -148,24 +156,19 @@ def test_ppo_log_prob_bookkeeping_exact():
         assert value(results[-1].observation) == batch.next_value
 
 
-def test_ppo_rollout_stopped_by_on_step_returns_none():
-    env = make_env("reach-planar-v1", seed=0)
-    trainer = PpoTrainer(env, PpoConfig(n_timesteps=150, rollout_len=150, minibatch_size=150), 0)
-    seen = []
-
-    def on_step(step):
-        seen.append(step)
-        return step < 120
-
-    steps = run_episodes(env, trainer.act, TrainingLog().add, 150)
-    assert trainer.collect_rollout(steps, 150, on_step) is None
-    assert seen == list(range(1, 121))
+def test_ppo_run_stopped_inside_a_rollout_skips_its_update():
+    config = PpoConfig(n_timesteps=150, rollout_len=150, minibatch_size=150)
+    artifact, log = train("ppo", "reach-planar-v1", 0, config,
+                          checkpoint_steps=(120,), checkpoint_fn=lambda step, policy: False)
+    untrained = PpoTrainer(make_env("reach-planar-v1", seed=0), config, 0).artifact()
+    assert policy_to_json(artifact) == policy_to_json(untrained)
+    assert log.rows[-1].timestep == 100
 
 
 def test_ppo_ratio_one_on_first_minibatch():
     env = make_env("reach-planar-v1", seed=1)
     trainer = PpoTrainer(env, PpoConfig(n_timesteps=64, rollout_len=64, minibatch_size=64), seed=1)
-    batch = trainer.collect_rollout(run_episodes(env, trainer.act, TrainingLog().add, 64), 64)
+    batch = observed_batch(trainer, 64)
     mean = mlp_forward(trainer.policy, batch.observations)
     lp_new = gaussian_log_prob(mean, trainer.head.log_std, batch.actions)
     ratio = np.exp(lp_new - batch.log_probs)
@@ -245,7 +248,7 @@ def test_ppo_gradient_norm_clipped():
     env = make_env("reach-planar-v1", seed=4)
     config = PpoConfig(n_timesteps=128, rollout_len=128, minibatch_size=32, n_epochs=1, max_grad_norm=0.5)
     trainer = PpoTrainer(env, config, seed=4)
-    batch = trainer.collect_rollout(run_episodes(env, trainer.act, TrainingLog().add, 128), 128)
+    batch = observed_batch(trainer, 128)
     from reachrl.ppo import compute_gae as gae
     from reachrl.nets import clip_grad_norm
 
@@ -443,7 +446,7 @@ def test_random_agent_episode_count():
 
 def test_train_unknown_algo_rejected():
     with pytest.raises(ValidationError):
-        train("sacx", "reach-v1", seed=0)
+        train("sacx", "reach-v1", 0, make_algo_config("random", 100))
 
 
 def test_train_ppo_deterministic_log_bytes():
@@ -588,6 +591,34 @@ def test_ppo_checkpoint_at_rollout_end_scores_updated_policy():
     artifact, _ = train("ppo", "reach-planar-v1", 3, config,
                         checkpoint_steps=(512,), checkpoint_fn=checkpoint)
     assert seen == {512: policy_to_json(artifact)}
+
+
+def checkpointed(algo, config, steps):
+    """The final policy of a run and, per step of ``steps``, its checkpoint's, as JSON."""
+    seen = {}
+
+    def checkpoint(step, artifact):
+        seen[step] = policy_to_json(artifact)
+        return True
+
+    artifact, _ = train(algo, "reach-planar-v1", 0, config,
+                        checkpoint_steps=steps, checkpoint_fn=checkpoint)
+    return policy_to_json(artifact), seen
+
+
+def test_ppo_checkpoint_inside_a_rollout_scores_the_last_update():
+    config = PpoConfig(n_timesteps=128, rollout_len=64, minibatch_size=32, n_epochs=1)
+    final, seen = checkpointed("ppo", config, (96, 128))
+    after_first_update, _ = checkpointed("ppo", dataclasses.replace(config, n_timesteps=64), ())
+    assert seen[96] == after_first_update
+    assert seen[128] == final != seen[96]
+
+
+def test_td3_checkpoint_scores_the_actor_after_that_steps_update():
+    config = Td3Config(n_timesteps=60, buffer_size=64, batch_size=16, learning_starts=50)
+    _, seen = checkpointed("td3", config, (54, 55))
+    trained_to_55, _ = checkpointed("td3", dataclasses.replace(config, n_timesteps=55), ())
+    assert seen[55] == trained_to_55 != seen[54]  # the update at 55 moved the actor
 
 
 @pytest.mark.parametrize("algo, config", [

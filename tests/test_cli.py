@@ -85,6 +85,7 @@ def test_unknown_flag_rejected(tmp_path, capsys):
         ["--algo", "ppo", "--hp", "minibatch_size=0"],  # would divide by zero
         ["--algo", "td3", "--hp", "batch_size=0"],
         ["--base-seed", "-1"],
+        ["--hp", "lr=0.001", "--hp", "lr=0.5"],  # a key given twice
     ],
 )
 def test_train_mangled_flags_exit_one(tmp_path, mangled, capsys):
@@ -459,6 +460,7 @@ def test_corrupt_benchmark_exits_two(tmp_path, capsys):
 
 
 LOG_HEADER = "timestep,episode,episode_return,episode_final_distance_m\n"
+META = '{"seed": 0, "status": %s, "wall_time_s": %s}\n'
 
 
 @pytest.mark.parametrize("command, name, text, where", [
@@ -467,8 +469,13 @@ LOG_HEADER = "timestep,episode,episode_return,episode_final_distance_m\n"
     ("plot", "seed_0/training_log.csv", LOG_HEADER + "100,1,abc,0.1\n", "line 2"),
     ("evaluate", "seed_0/run_meta.json", '{"seed": 0, "status": broken', "byte offset"),
     ("evaluate", "seed_0/run_meta.json", '{"seed": 0, "status": "complete"}\n', "wall_time_s"),
+    ("evaluate", "seed_0/run_meta.json", META % ('"bogus"', "1.0"), "bad status 'bogus'"),
+    ("evaluate", "seed_0/run_meta.json", META % ('"complete"', "NaN"), "bad wall_time_s nan"),
+    ("evaluate", "seed_0/run_meta.json", META % ('"complete"', "-5"), "bad wall_time_s -5"),
+    ("evaluate", "seed_0/run_meta.json", META % ('"complete"', "1e400"), "bad wall_time_s inf"),
     ("evaluate", "config.json", '{"exp_id": 1, broken', "byte offset"),
 ], ids=["log-header", "log-short-row", "log-not-a-number", "meta-not-json", "meta-missing-key",
+        "meta-bad-status", "meta-nan-time", "meta-negative-time", "meta-infinite-time",
         "config-not-json"])
 def test_malformed_workspace_file_exits_two_naming_it(tmp_path, capsys, command, name, text, where):
     run(["train", "--algo", "random", "--env", "reach-planar-v1",
@@ -479,7 +486,7 @@ def test_malformed_workspace_file_exits_two_naming_it(tmp_path, capsys, command,
     assert run([command, "--exp-id", "1", "--workspace", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"runtime failure: {path}: ")
-    assert where in err
+    assert where in err and err.count("runtime failure:") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field, value", [
