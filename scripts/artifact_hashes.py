@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of the training artifacts of five fixed runs, and the
-evaluation outputs of the PPO one.
+evaluation outputs of the PPO and TD3 ones.
 
 Trains, in a temporary workspace, PPO on reach-planar-v1 (4,096 steps,
 2 seeds, base seed 7), TD3 on reach-planar-v3 (1,500 steps,
@@ -16,11 +16,12 @@ execute in children forked from this process, as ``reachrl train`` runs
 them, so two checkouts whose training numerics agree print the same lines.
 
 It then evaluates the PPO experiment with ``--log-episode``, once
-deterministically and once with ``--stochastic``, and prints after each the
-hash of the command's stdout (with the temporary workspace path replaced by
-``<workspace>``), its ``benchmark.csv`` row (without ``train_walltime_s``,
-which is a wall time) and the hashes of ``episode_eval.csv`` and
-``episode_panels.svg``.
+deterministically and once with ``--stochastic``, and the TD3 one, whose
+``policy.json`` holds a float32 actor, deterministically.  It prints after
+each the hash of the command's stdout (with the temporary workspace path
+replaced by ``<workspace>``), the experiment's ``benchmark.csv`` row
+(without ``train_walltime_s``, which is a wall time) and the hashes of
+``episode_eval.csv`` and ``episode_panels.svg``.
 Then it runs ``plot --exp-id 1`` and ``benchmark --exp-ids 1 --metric
 mean_return`` and prints the hashes of the figures and their data sidecars.
 
@@ -75,7 +76,8 @@ RUNS = (
                   "--n-seeds", "1", "--base-seed", "7", "--hp", "rollout_len=300",
                   "--hp", "minibatch_size=60"]),
 )
-EVALUATIONS = (("deterministic", []), ("stochastic", ["--stochastic"]))
+EVALUATIONS = (("ppo", 1, "deterministic", []), ("ppo", 1, "stochastic", ["--stochastic"]),
+               ("td3", 2, "deterministic", []))
 PPO_TUNE = ["--algo", "ppo", "--env", "reach-v1", "--n-trials", "6",
             "--timesteps-per-trial", "256", "--checkpoints", "2"]
 TD3_TUNE = ["--algo", "td3", "--env", "reach-planar-v1", "--n-trials", "4",
@@ -146,16 +148,17 @@ def main() -> int:
         for exp_id, (name, args) in enumerate(RUNS, start=1):
             run_cli(name, ["train", *args, "--workspace", workspace])
             seed_lines[name] = print_seed_lines(name, Path(workspace) / f"exp_{exp_id}")
-        for mode, flags in EVALUATIONS:
-            stdout = run_cli("ppo", ["evaluate", "--exp-id", "1", "--log-episode", *flags,
-                                     "--workspace", workspace])
+        for name, exp_id, mode, flags in EVALUATIONS:
+            stdout = run_cli(name, ["evaluate", "--exp-id", str(exp_id), "--log-episode", *flags,
+                                    "--workspace", workspace])
             stdout = stdout.replace(workspace, "<workspace>").encode()
-            print(f"ppo evaluate {mode} stdout {hashlib.sha256(stdout).hexdigest()}")
-            row = read_benchmark(Path(workspace))[0]
+            label = f"{name} evaluate {mode}"
+            print(f"{label} stdout {hashlib.sha256(stdout).hexdigest()}")
+            [row] = [r for r in read_benchmark(Path(workspace)) if r["exp_id"] == exp_id]
             del row["train_walltime_s"]
-            print(f"ppo evaluate {mode} benchmark.csv {','.join(map(str, row.values()))}")
+            print(f"{label} benchmark.csv {','.join(map(str, row.values()))}")
             for artifact in ("episode_eval.csv", "episode_panels.svg"):
-                print(f"ppo evaluate {mode} {artifact} {sha256(Path(workspace) / 'exp_1' / artifact)}")
+                print(f"{label} {artifact} {sha256(Path(workspace) / f'exp_{exp_id}' / artifact)}")
         for args, figure in ((["plot", "--exp-id", "1"], "exp_1/training_curves"),
                              (["benchmark", "--exp-ids", "1", "--metric", "mean_return"],
                               "figures/benchmark_mean_return")):

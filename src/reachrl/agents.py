@@ -27,7 +27,7 @@ import numpy as np
 
 from .envs import make_env, run_episodes
 from .errors import NumericError, ValidationError
-from .nets import Mlp, mlp_forward, mlp_from_dict, mlp_to_dict
+from .nets import LOG_STD_MAX, LOG_STD_MIN, Mlp, mlp_forward, mlp_from_dict, mlp_to_dict
 
 NET_SEED_OFFSET = 1000
 NOISE_SEED_OFFSET = 2000
@@ -175,6 +175,8 @@ def policy_from_dict(doc: dict) -> PolicyArtifact:
     log_std = np.asarray(doc["log_std"], dtype=float) if kind == "gaussian" else None
     if log_std is not None and log_std.shape != (net.out_dim,):
         raise ValidationError(f"log_std of shape {log_std.shape} for {net.out_dim} actions")
+    if log_std is not None and not ((LOG_STD_MIN <= log_std) & (log_std <= LOG_STD_MAX)).all():
+        raise ValidationError(f"log_std {log_std.tolist()} outside [{LOG_STD_MIN}, {LOG_STD_MAX}]")
     return PolicyArtifact(kind=kind, net=net, log_std=log_std, n_actions=net.out_dim)
 
 
@@ -185,7 +187,10 @@ def policy_to_json(policy: PolicyArtifact) -> str:
 def policy_from_json(text: str | bytes, source: str = "text") -> PolicyArtifact:
     """The policy ``policy_to_json`` wrote; anything else raises ValidationError."""
     try:
-        return policy_from_dict(json.loads(text))
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"a JSON {type(doc).__name__}, not an object")
+        return policy_from_dict(doc)
     except (KeyError, TypeError, ValueError, ValidationError) as err:  # decode errors too
         raise ValidationError(f"{source} is not a valid policy: {err!r}") from None
 

@@ -2,8 +2,15 @@
 
 Hand-derived reverse-mode gradients for an MLP (tanh hidden layers, identity
 output), the Adam optimizer, and a diagonal-Gaussian policy head with a
-state-independent, learnable log standard deviation.  Everything runs in
-float64 so gradient checks and determinism stay crisp.
+state-independent, learnable log standard deviation.
+
+Each net computes in its parameter vector's dtype: inputs and output
+gradients are cast to it, and Python-float scalars keep it (NEP 50), so
+Adam and Polyak steps do too.  PPO runs in float64: its 64-row minibatch is
+bound by numpy call overhead, not kernel time, and its learning check
+passes by a thin margin.  TD3 runs in float32, as Stable-Baselines3 does:
+its batch-256 update is kernel-bound, and float32 kernels are about twice
+as fast.  Gradient checks use float64 nets.
 
 Each optimiser group is one flat vector that ``pack`` makes its nets' (and
 a Gaussian head's) arrays views into; gradients, Adam moments and target
@@ -36,8 +43,9 @@ def _segment_sizes(layer_shapes) -> list[int]:
 class Mlp:
     """Fully-connected net; weight k has shape (in_k, out_k), row-major.
 
-    ``params`` is one float64 vector holding every weight, then every bias,
-    each in C order; ``weights`` and ``biases`` are views into it.
+    ``params`` is one float vector holding every weight, then every bias,
+    each in C order; ``weights`` and ``biases`` are views into it.  Its
+    dtype is the one the net computes in.
     """
 
     def __init__(self, layer_shapes, params: np.ndarray):
@@ -89,14 +97,12 @@ def mlp_init(sizes: list[int], rng: np.random.Generator) -> Mlp:
     return net
 
 
-def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
-    """``x`` as a (rows, dim) batch; a 1-D input is one row."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1 and x.shape[0] == dim:
-        return x[None, :]
-    if x.ndim == 2 and x.shape[1] == dim:
-        return x
-    raise ValidationError(f"input shape {x.shape} incompatible with dimension {dim}")
+def _as_input(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """``x``, one row or a (rows, in_dim) batch, in the net's dtype."""
+    x = np.asarray(x, dtype=net.params.dtype)
+    if x.ndim not in (1, 2) or x.shape[-1] != net.in_dim:
+        raise ValidationError(f"input shape {x.shape} incompatible with dimension {net.in_dim}")
+    return x
 
 
 def _layers(net: Mlp, h: np.ndarray, cache: list) -> np.ndarray:
@@ -115,14 +121,14 @@ def _layers(net: Mlp, h: np.ndarray, cache: list) -> np.ndarray:
 def mlp_forward_cached(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Forward pass returning the output and the cache [input batch, each
     layer's post-activation output]."""
-    cache = [_as_batch(x, net.in_dim)]
+    cache = [np.atleast_2d(_as_input(net, x))]
     return _layers(net, cache[0], cache), cache
 
 
 def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Affine + tanh composition; identity on the output layer."""
-    out, _ = mlp_forward_cached(net, x)
-    return out[0] if np.ndim(x) == 1 else out
+    """Affine + tanh composition; identity on the output layer.  A 1-D
+    input runs as a vector, with the bits of the one-row batch."""
+    return _layers(net, _as_input(net, x), [])
 
 
 def mlp_forward_rows(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -133,7 +139,7 @@ def mlp_forward_rows(net: Mlp, x: np.ndarray) -> np.ndarray:
     holds the bits of ``mlp_forward(net, x[t])``.  A plain (T, K) product
     sums in another order and differs in most rows.
     """
-    return _layers(net, _as_batch(x, net.in_dim)[:, None, :], [])[:, 0, :]
+    return _layers(net, _as_input(net, x)[..., None, :], [])[..., 0, :]
 
 
 def mlp_backward_cached(
@@ -147,7 +153,7 @@ def mlp_backward_cached(
     caller's convention.  Parameter gradients go into ``grads`` (laid out like
     ``net.params``) unless it is None; returns the input gradient, or None.
     """
-    g = np.asarray(output_grad, dtype=float)
+    g = np.asarray(output_grad, dtype=cache[-1].dtype)
     if g.ndim == 1:
         g = g[None, :]
     if g.shape != cache[-1].shape:
@@ -270,18 +276,30 @@ def gaussian_entropy(log_std: np.ndarray) -> float:
 
 
 def mlp_to_dict(net: Mlp) -> dict:
-    return {
+    """The net as JSON values; ``dtype`` is written only when not float64."""
+    doc = {
         "layer_shapes": [list(s) for s in net.layer_shapes],
         "weights": [w.reshape(-1).tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
+    if net.params.dtype != np.float64:
+        doc["dtype"] = net.params.dtype.name
+    return doc
 
 
 def mlp_from_dict(doc: dict) -> Mlp:
-    """The net ``mlp_to_dict`` wrote; arrays that do not fit the layers raise
-    ValidationError."""
+    """The net ``mlp_to_dict`` wrote, float64 if ``dtype`` is absent; arrays
+    that do not fit the layers, non-finite values and a dtype other than
+    float32 or float64 raise ValidationError."""
+    dtype = doc.get("dtype", "float64")
+    if dtype not in ("float32", "float64"):
+        raise ValidationError(f"dtype {dtype!r} is neither float32 nor float64")
     shapes = [(int(i), int(o)) for i, o in doc["layer_shapes"]]
-    arrays = [np.asarray(a, dtype=float).reshape(-1) for a in [*doc["weights"], *doc["biases"]]]
+    with np.errstate(over="ignore"):  # a float64 beyond float32's range is caught as inf
+        arrays = [np.asarray(a, dtype=dtype).reshape(-1) for a in [*doc["weights"], *doc["biases"]]]
     if not shapes or [a.size for a in arrays] != _segment_sizes(shapes):
         raise ValidationError(f"arrays of sizes {[a.size for a in arrays]} for layers {shapes}")
-    return Mlp(shapes, np.concatenate(arrays))
+    params = np.concatenate(arrays)
+    if not np.isfinite(params).all():
+        raise ValidationError("non-finite weight or bias")
+    return Mlp(shapes, params)

@@ -23,8 +23,8 @@ from reachrl.agents import (
 from reachrl.envs import make_env, registry_lookup, run_episodes
 from reachrl.errors import ValidationError
 from reachrl.ioutil import json_text
-from reachrl.nets import GaussianHead, gaussian_log_prob, mlp_forward, mlp_init
-from reachrl import ppo
+from reachrl.nets import LOG_STD_MIN, GaussianHead, gaussian_log_prob, mlp_forward, mlp_init
+from reachrl import nets as nets_module, ppo, td3
 from reachrl.ppo import (
     PpoConfig,
     PpoTrainer,
@@ -434,6 +434,38 @@ def test_td3_groups_are_views_and_targets_start_as_copies():
     assert not np.shares_memory(nets.actor_target.params, nets.actor.params)
 
 
+def test_td3_trains_in_float32(monkeypatch):
+    # Guards against a silent upcast, such as an np.float64 scalar under
+    # NEP 50 or float64 smoothing noise: it keeps determinism and loses speed.
+    real_update, real_layers, calls, arrays = td3.td3_update, nets_module._layers, [], []
+    monkeypatch.setattr(td3, "td3_update", lambda *args: calls.append(args) or real_update(*args))
+    config = Td3Config(n_timesteps=120, buffer_size=100, batch_size=16, learning_starts=60)
+    train("td3", "reach-planar-v1", seed=0, config=config)
+    nets, buffer, config, step, rng, _, critic_adam, actor_adam = calls[-1]
+
+    def recording(fn):
+        def record(*args, **kwargs):
+            arrays.extend(a for a in args if isinstance(a, np.ndarray))
+            return fn(*args, **kwargs)
+        return record
+
+    def layers(net, h, cache):
+        out = real_layers(net, h, cache)
+        arrays.extend(cache)
+        return out
+
+    for name in ("mlp_forward", "mlp_forward_cached", "mlp_backward_cached"):
+        monkeypatch.setattr(td3, name, recording(getattr(td3, name)))
+    monkeypatch.setattr(nets_module, "_layers", layers)
+    # Update count 0 runs the delayed actor and target step too.
+    real_update(nets, buffer, config, step, rng, 0, critic_adam, actor_adam)
+    assert len(arrays) > 30
+    groups = [nets.critics, nets.critics_target, nets.actor.params, nets.actor_target.params]
+    moments = [m for adam in (critic_adam, actor_adam) for m in (adam.first_moment, adam.second_moment)]
+    stored = [buffer.observations, buffer.actions, buffer.rewards, buffer.next_observations]
+    assert {a.dtype for a in [*groups, *moments, *stored, *arrays]} == {np.dtype(np.float32)}
+
+
 # ---------------------------------------------------------------- train()
 
 def test_random_agent_episode_count():
@@ -481,12 +513,28 @@ def test_policy_artifact_round_trip_and_act():
     config = PpoConfig(n_timesteps=128, rollout_len=64, minibatch_size=32, n_epochs=1)
     artifact, _ = train("ppo", "reach-planar-v1", seed=1, config=config)
     text = policy_to_json(artifact)
+    assert "dtype" not in json.loads(text)  # float64 files keep their bytes
     restored = policy_from_json(text)
     assert policy_to_json(restored) == text
     obs = np.zeros(5)
     np.testing.assert_array_equal(
         artifact.act_with_noise(obs, None), restored.act_with_noise(obs, None)
     )
+
+
+def test_float32_actor_round_trips_through_policy_json():
+    config = Td3Config(n_timesteps=120, buffer_size=100, batch_size=16, learning_starts=60)
+    artifact, _ = train("td3", "reach-planar-v1", seed=1, config=config)
+    doc = json.loads(policy_to_json(artifact))
+    assert doc["dtype"] == "float32"
+    restored = policy_from_json(json.dumps(doc))
+    assert restored.net.params.dtype == np.float32
+    assert restored.net.params.tobytes() == artifact.net.params.tobytes()
+    obs = np.random.default_rng(0).normal(size=(7, 5))
+    for x in (obs, obs[0]):
+        assert np.array_equal(restored.act_with_noise(x, None), artifact.act_with_noise(x, None))
+    del doc["dtype"]  # a file without the key is float64
+    assert policy_from_json(json.dumps(doc)).net.params.dtype == np.float64
 
 
 def test_random_policy_artifact():
@@ -506,6 +554,14 @@ def test_random_policy_artifact():
     lambda doc: doc["weights"][1].append(0.5),
     lambda doc: doc.update(kind="beta"),
     lambda doc: doc.pop("biases"),
+    lambda doc: doc["weights"][0].__setitem__(3, math.nan),
+    lambda doc: doc["biases"][1].__setitem__(0, math.inf),
+    lambda doc: doc.update(dtype="float32") or doc["weights"][1].__setitem__(0, 1e300),
+    lambda doc: doc.update(log_std=[1e308, 0.0]),
+    lambda doc: doc.update(log_std=[math.nan, 0.0]),
+    lambda doc: doc.update(log_std=[LOG_STD_MIN - 1.0, 0.0]),
+    lambda doc: doc.update(dtype="float16"),
+    lambda doc: doc.update(dtype=["float64"]),
 ])
 def test_policy_from_json_rejects_a_tampered_policy(tamper):
     net = mlp_init([5, 4, 2], np.random.default_rng(0))
@@ -519,6 +575,12 @@ def test_policy_from_json_rejects_a_tampered_policy(tamper):
 def test_policy_from_json_rejects_text_that_is_not_json():
     with pytest.raises(ValidationError):
         policy_from_json('{"kind": "gaussian", "layer_')
+
+
+@pytest.mark.parametrize("text", ["[]", '"policy"', "3", "null"])
+def test_policy_from_json_rejects_a_document_that_is_not_an_object(text):
+    with pytest.raises(ValidationError):
+        policy_from_json(text)
 
 
 def test_make_algo_config_rejects_unknown_hyperparameter():

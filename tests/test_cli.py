@@ -174,14 +174,19 @@ def test_evaluate_tampered_policy_exits_one(tmp_path, capsys):
     run(["train", "--algo", "ppo", "--env", "reach-planar-v1", "--n-timesteps", "64",
          "--n-seeds", "1", *FAST_HP, "--workspace", str(tmp_path)])
     path = tmp_path / "exp_1" / "seed_0" / "policy.json"
-    doc = json.loads(path.read_text())
-    doc["weights"][0] = doc["weights"][0][:-1]
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run(["evaluate", "--exp-id", "1", "--n-eval-episodes", "2",
-                "--workspace", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "policy.json" in err and "Traceback" not in err
+    trained = path.read_text()
+    for weight in ("truncated", float("nan")):
+        doc = json.loads(trained)
+        if weight == "truncated":
+            doc["weights"][0] = doc["weights"][0][:-1]
+        else:
+            doc["weights"][0][0] = weight
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["evaluate", "--exp-id", "1", "--n-eval-episodes", "2",
+                    "--workspace", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "policy.json" in err and "Traceback" not in err
 
 
 def test_evaluate_log_episode_artifacts(tmp_path, capsys):

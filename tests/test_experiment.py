@@ -132,16 +132,17 @@ def test_run_experiment_writes_expected_seed_artifacts(tmp_path):
 
 
 def test_parallelism_does_not_change_artifacts(tmp_path):
-    hyperparams = dict(FAST_PPO)
-    rec1 = create_experiment(tmp_path, "ppo", "reach-planar-v1", 128, 2, hyperparams=hyperparams)
-    run_experiment(tmp_path, rec1.exp_id, parallelism=1)
-    rec2 = create_experiment(tmp_path, "ppo", "reach-planar-v1", 128, 2, hyperparams=hyperparams)
-    run_experiment(tmp_path, rec2.exp_id, parallelism=2)
-    for k in range(2):
-        for name in ("training_log.csv", "policy.json"):
-            a = (seed_dir(tmp_path, rec1.exp_id, k) / name).read_bytes()
-            b = (seed_dir(tmp_path, rec2.exp_id, k) / name).read_bytes()
-            assert a == b, f"seed {k} {name} differs between parallelism levels"
+    fast_td3 = {"learning_starts": 64, "batch_size": 32, "buffer_size": 128}
+    for algo, hyperparams in (("ppo", FAST_PPO), ("td3", fast_td3)):
+        rec1 = create_experiment(tmp_path, algo, "reach-planar-v1", 128, 2, hyperparams=hyperparams)
+        run_experiment(tmp_path, rec1.exp_id, parallelism=1)
+        rec2 = create_experiment(tmp_path, algo, "reach-planar-v1", 128, 2, hyperparams=hyperparams)
+        run_experiment(tmp_path, rec2.exp_id, parallelism=2)
+        for k in range(2):
+            for name in ("training_log.csv", "policy.json"):
+                a = (seed_dir(tmp_path, rec1.exp_id, k) / name).read_bytes()
+                b = (seed_dir(tmp_path, rec2.exp_id, k) / name).read_bytes()
+                assert a == b, f"{algo} seed {k} {name} differs between parallelism levels"
 
 
 def test_failed_seed_marks_experiment_failed_but_others_complete(tmp_path, monkeypatch):

@@ -70,18 +70,20 @@ def test_forward_batched_matches_vector_calls():
         np.testing.assert_allclose(batched[i], mlp_forward(net, xs[i]), rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("out_dim", [6, 1], ids=["policy", "value"])
+@pytest.mark.parametrize("out_dim", [6, 2, 1], ids=["policy", "planar-policy", "value"])
 @pytest.mark.parametrize("obs_dim", [5, 9, 12])
 @pytest.mark.parametrize("n_rows", [1, 2049])
 def test_forward_rows_is_bitwise_the_vector_calls(out_dim, obs_dim, n_rows):
     # Guards the stacked one-row products: a numpy or BLAS build that stops
     # sending them to the one-row kernel would move PPO's rollout values.
+    # The 1-D call runs as a vector and must keep the one-row batch's bits.
     rng = np.random.default_rng(obs_dim * out_dim + n_rows)
     net = mlp_init([obs_dim, 64, 64, out_dim], rng)
     xs = rng.normal(size=(n_rows, obs_dim))
     rows = mlp_forward_rows(net, xs)
-    assert rows.shape == (n_rows, out_dim)
+    assert rows.shape == (n_rows, out_dim) and rows.dtype == np.float64
     assert np.array_equal(rows, [mlp_forward(net, x) for x in xs])
+    assert np.array_equal(rows, [mlp_forward(net, x[None])[0] for x in xs])
 
 
 def test_forward_does_not_mutate_parameters():
