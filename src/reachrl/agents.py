@@ -11,39 +11,38 @@ trainer through ``envs.run_episodes`` with ``TrainingLog.add`` as its
 episode callback, hands the trainer each step, and then runs the
 checkpoints due at that step.
 
-The PPO and TD3 modules are imported on first use, so loading and
-evaluating a policy loads no trainer.
+The PPO and TD3 modules are imported on first use, so reading a config and
+loading and evaluating a policy load no trainer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from typing import Callable
 
 import numpy as np
 
 from .envs import make_env, run_episodes
-from .errors import NumericError, ValidationError
+from .errors import CorruptDataError, NumericError, ValidationError
 from .nets import LOG_STD_MAX, LOG_STD_MIN, Mlp, mlp_forward, mlp_from_dict, mlp_to_dict
+from .schema import checked
 
 NET_SEED_OFFSET = 1000
 NOISE_SEED_OFFSET = 2000
 EVAL_SEED_OFFSET = 3000
 
-SUPPORTED_ALGOS = ("ppo", "td3", "random")
+POLICY_KINDS = ("gaussian", "tanh", "random")
 
-TRAINING_LOG_HEADER = ("timestep", "episode", "episode_return", "episode_final_distance_m")
-
-
-@dataclass
-class LogRow:
-    timestep: int
-    episode: int
-    episode_return: float
-    episode_final_distance_m: float
+# training_log.csv's columns and the row that holds them; its reader also
+# checks that episodes count 1, 2, ... and that timesteps strictly increase.
+TRAINING_LOG_COLUMNS = (
+    ("timestep", int, "[1, inf)"), ("episode", int, "[1, inf)"),
+    ("episode_return", float, "(-inf, inf)"), ("episode_final_distance_m", float, "[0, inf)"),
+)
+LogRow = make_dataclass("LogRow", [(name, kind) for name, kind, _ in TRAINING_LOG_COLUMNS],
+                        namespace={"__module__": __name__})  # so that a row pickles
 
 
 @dataclass
@@ -61,7 +60,7 @@ def training_log_to_csv(log: TrainingLog) -> str:
     from .ioutil import csv_text
 
     return csv_text(
-        TRAINING_LOG_HEADER,
+        [name for name, _, _ in TRAINING_LOG_COLUMNS],
         ((r.timestep, r.episode, r.episode_return, r.episode_final_distance_m) for r in log.rows),
     )
 
@@ -70,8 +69,12 @@ def training_log_from_csv(text: str, source: str = "training_log.csv") -> Traini
     from .ioutil import csv_rows
 
     log = TrainingLog()
-    for row in csv_rows(text, TRAINING_LOG_HEADER, (int, int, float, float), source):
-        log.add(*row)
+    for n, (timestep, episode, *rest) in enumerate(csv_rows(text, TRAINING_LOG_COLUMNS, source), 1):
+        if episode != n:  # on line n + 1, after the header
+            raise CorruptDataError(f"{source}: line {n + 1}: bad episode {episode!r}: not {n}")
+        if log.rows and timestep <= (last := log.rows[-1].timestep):
+            raise CorruptDataError(f"{source}: line {n + 1}: bad timestep {timestep!r}: not above {last}")
+        log.rows.append(LogRow(timestep, episode, *rest))
     return log
 
 
@@ -80,39 +83,65 @@ def hp(default, domain: str):
     return field(default=default, metadata={"domain": domain})
 
 
-def _checked(name: str, value, kind: type, domain: str):
-    """``value``, or the number a string or a numpy scalar stands for, as a
-    ``kind``.  ValidationError if there is none (a bool, text, a fraction for
-    an int) or it is outside ``domain``, as NaN and infinities are: no domain
-    is closed at infinity."""
-    number = value
-    if isinstance(value, str):
-        with suppress(ValueError):  # the int it spells, else the float
-            number = float(value)
-            number = int(value)
-    if isinstance(number, (int, float, np.integer, np.floating)) and not isinstance(number, bool):
-        with suppress(OverflowError):  # float(10**400); int() keeps an int exact
-            if kind is float or float(number).is_integer():
-                number = kind(number)
-    lo, hi = (float(end) for end in domain[1:-1].split(","))
-    if not (type(number) is kind and (lo < number if domain[0] == "(" else lo <= number)
-            and (number < hi if domain[-1] == ")" else number <= hi)):
-        wanted = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{name} must be {wanted} in {domain}, got {value!r}")
-    return number
-
-
 @dataclass
 class AlgoConfig:
     """The random baseline's config and the base of the others: construction
-    replaces each value with its ``_checked`` form, as its field's ``hp`` says."""
+    replaces each value with its ``schema.checked`` form, as its field's
+    ``hp`` says, reading text as the number it spells."""
 
     n_timesteps: int = hp(100_000, "[1, inf)")
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = _checked(f.name, getattr(self, f.name), type(f.default), f.metadata["domain"])
+            value = checked(f.name, getattr(self, f.name), type(f.default), f.metadata["domain"], parse=True)
             setattr(self, f.name, value)
+
+
+@dataclass
+class PpoConfig(AlgoConfig):
+    rollout_len: int = hp(2048, "[1, inf)")
+    minibatch_size: int = hp(64, "[1, inf)")
+    n_epochs: int = hp(10, "[1, inf)")
+    lr: float = hp(3e-4, "(0, inf)")
+    gamma: float = hp(0.99, "(0, 1]")
+    gae_lambda: float = hp(0.95, "[0, 1]")
+    clip_range: float = hp(0.2, "(0, inf)")
+    ent_coef: float = hp(0.0, "[0, inf)")
+    vf_coef: float = hp(0.5, "[0, inf)")
+    max_grad_norm: float = hp(0.5, "(0, inf)")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.rollout_len % self.minibatch_size != 0:
+            raise ValidationError(
+                f"rollout_len {self.rollout_len} not divisible by "
+                f"minibatch_size {self.minibatch_size}"
+            )
+
+
+@dataclass
+class Td3Config(AlgoConfig):
+    buffer_size: int = hp(100_000, "[1, inf)")
+    batch_size: int = hp(256, "[1, inf)")
+    learning_starts: int = hp(1_000, "[0, inf)")
+    policy_delay: int = hp(2, "[1, inf)")
+    lr: float = hp(1e-3, "(0, inf)")
+    gamma: float = hp(0.99, "[0, 1]")
+    tau: float = hp(0.005, "(0, 1]")
+    policy_noise: float = hp(0.2, "[0, inf)")
+    noise_clip: float = hp(0.5, "[0, inf)")
+    explore_noise: float = hp(0.1, "[0, inf)")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.buffer_size < self.batch_size:
+            raise ValidationError(
+                f"buffer_size {self.buffer_size} < batch_size {self.batch_size}"
+            )
+
+
+_CONFIGS = {"ppo": PpoConfig, "td3": Td3Config, "random": AlgoConfig}
+SUPPORTED_ALGOS = tuple(_CONFIGS)
 
 
 @dataclass
@@ -153,7 +182,7 @@ class PolicyArtifact:
         return out if noise is None else out + np.exp(self.log_std) * noise
 
 
-def policy_to_dict(policy: PolicyArtifact) -> dict:
+def policy_to_json(policy: PolicyArtifact) -> str:
     doc = {"kind": policy.kind}
     if policy.net is not None:
         doc.update(mlp_to_dict(policy.net))
@@ -162,60 +191,31 @@ def policy_to_dict(policy: PolicyArtifact) -> dict:
     doc["log_std"] = [] if policy.log_std is None else policy.log_std.tolist()
     if policy.kind == "random":
         doc["n_actions"] = policy.n_actions
-    return doc
-
-
-def policy_from_dict(doc: dict) -> PolicyArtifact:
-    kind = doc.get("kind", "gaussian")
-    if kind == "random":
-        return PolicyArtifact(kind=kind, n_actions=int(doc["n_actions"]))
-    if kind not in ("gaussian", "tanh"):
-        raise ValidationError(f"unknown policy kind {kind!r}")
-    net = mlp_from_dict(doc)
-    log_std = np.asarray(doc["log_std"], dtype=float) if kind == "gaussian" else None
-    if log_std is not None and log_std.shape != (net.out_dim,):
-        raise ValidationError(f"log_std of shape {log_std.shape} for {net.out_dim} actions")
-    if log_std is not None and not ((LOG_STD_MIN <= log_std) & (log_std <= LOG_STD_MAX)).all():
-        raise ValidationError(f"log_std {log_std.tolist()} outside [{LOG_STD_MIN}, {LOG_STD_MAX}]")
-    return PolicyArtifact(kind=kind, net=net, log_std=log_std, n_actions=net.out_dim)
-
-
-def policy_to_json(policy: PolicyArtifact) -> str:
-    return json.dumps(policy_to_dict(policy)) + "\n"
+    return json.dumps(doc) + "\n"
 
 
 def policy_from_json(text: str | bytes, source: str = "text") -> PolicyArtifact:
-    """The policy ``policy_to_json`` wrote; anything else raises ValidationError."""
+    """The policy ``policy_to_json`` wrote, each field as ``schema.checked``
+    reads it: a random policy has ``n_actions``, the others a net, and a
+    Gaussian one ``log_std`` per action.  Anything else raises ValidationError."""
     try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValidationError(f"a JSON {type(doc).__name__}, not an object")
-        return policy_from_dict(doc)
+        doc = checked("policy", json.loads(text), dict)
+        kind = checked("kind", doc.get("kind"), str, POLICY_KINDS)
+        if kind == "random":
+            return PolicyArtifact(kind, n_actions=checked("n_actions", doc.get("n_actions"), int, "[1, inf)"))
+        net, log_std = mlp_from_dict(doc), None
+        if kind == "gaussian":
+            log_std = checked("log_std", doc["log_std"], np.dtype(float), f"[{LOG_STD_MIN}, {LOG_STD_MAX}]")
+            if log_std.shape != (net.out_dim,):
+                raise ValidationError(f"log_std of shape {log_std.shape} for {net.out_dim} actions")
+        return PolicyArtifact(kind=kind, net=net, log_std=log_std, n_actions=net.out_dim)
     except (KeyError, TypeError, ValueError, ValidationError) as err:  # decode errors too
         raise ValidationError(f"{source} is not a valid policy: {err!r}") from None
 
 
-def _algo(algo: str) -> tuple[type, type]:
-    """The config class and the trainer of ``algo``; the one place an unknown
-    algo is rejected.  A trainer takes ``(env, config, seed)`` and has
-    ``act(obs)``, ``observe(step, obs, action, result)``, which learns from
-    a step once its action ran, and ``artifact()``."""
-    if algo == "ppo":
-        from .ppo import PpoConfig, PpoTrainer
-
-        return PpoConfig, PpoTrainer
-    if algo == "td3":
-        from .td3 import Td3Config, Td3Trainer
-
-        return Td3Config, Td3Trainer
-    if algo == "random":
-        return AlgoConfig, RandomTrainer
-    raise ValidationError(f"unknown algo {algo!r}; supported: {', '.join(SUPPORTED_ALGOS)}")
-
-
 def make_algo_config(algo: str, n_timesteps: int, hyperparams: dict | None = None):
     """Build an algorithm config from defaults plus overrides, which its ``hp`` table checks."""
-    cls, _ = _algo(algo)
+    cls = _CONFIGS[checked("algo", algo, str, SUPPORTED_ALGOS)]
     hyperparams = hyperparams or {}
     if "n_timesteps" in hyperparams:
         raise ValidationError("n_timesteps is set by the experiment, not a hyperparameter")
@@ -262,8 +262,17 @@ def train(
     update at a rollout's end); returning False stops the run early (used
     by the hyperparameter study pruner).  Raises NumericError with the
     partial log attached if training diverges.
+
+    A trainer takes ``(env, config, seed)`` and has ``act(obs)``, ``observe(step,
+    obs, action, result)`` and ``artifact()``; its module loads only here.
     """
-    _, Trainer = _algo(algo.lower())
+    algo = checked("algo", algo.lower(), str, SUPPORTED_ALGOS)
+    if algo == "ppo":
+        from .ppo import PpoTrainer as Trainer
+    elif algo == "td3":
+        from .td3 import Td3Trainer as Trainer
+    else:
+        Trainer = RandomTrainer
     log = TrainingLog()
     trainer = Trainer(make_env(env_id, seed=seed), config, seed)
     pending = sorted(checkpoint_steps) if checkpoint_fn is not None else []

@@ -177,8 +177,8 @@ def cmd_evaluate(args) -> int:
         deterministic=not args.stochastic, allow_partial=args.allow_partial,
     )
     # The printed order is the command's output format: floats, then the counts.
-    floats = [name for name, cast in METRIC_COLUMNS if cast is float]
-    counts = [name for name, cast in reversed(METRIC_COLUMNS) if cast is int]
+    floats = [name for name, kind, _ in METRIC_COLUMNS if kind is float]
+    counts = [name for name, kind, _ in reversed(METRIC_COLUMNS) if kind is int]
     for name in floats + counts:
         label = "n_episodes_per_seed" if name == "n_eval_episodes" else name
         text = f"{row[name]:.6g}" if name in floats else str(row[name])
@@ -195,11 +195,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     from .report import emit_benchmark_comparison
+    from .schema import checked
 
-    try:
-        exp_ids = [int(part) for part in args.exp_ids.split(",") if part]
-    except ValueError:
-        raise ValidationError(f"--exp-ids expects comma-separated integers, got {args.exp_ids!r}")
+    exp_ids = [checked("--exp-ids", part, int, "[1, inf)", parse=True)
+               for part in args.exp_ids.split(",") if part]
     if not exp_ids:
         raise ValidationError("--exp-ids is empty")
     svg_path, csv_path = emit_benchmark_comparison(Path(args.workspace), exp_ids, args.metric)

@@ -32,6 +32,7 @@ import numpy as np
 from . import arm
 from .arm import ArmModel, planar_arm, step_joint_angles, widowx_arm
 from .errors import LifecycleError, ValidationError
+from .schema import checked
 
 
 class ActionMode(str, Enum):
@@ -74,8 +75,7 @@ class EnvConfig:
     arm: ArmModel
 
     def __post_init__(self):
-        if self.episode_len < 1:
-            raise ValidationError(f"episode_len must be >= 1, got {self.episode_len}")
+        checked("episode_len", self.episode_len, int, "[1, inf)")
         thresholds = self.success_thresholds_mm
         if any(t <= 0 for t in thresholds) or any(
             a >= b for a, b in zip(thresholds, thresholds[1:])
@@ -161,11 +161,7 @@ def registered_env_ids() -> tuple[str, ...]:
 
 def registry_lookup(env_id: str) -> EnvConfig:
     """Return the immutable config for a registered environment ID."""
-    try:
-        return _REGISTRY[env_id]
-    except KeyError:
-        valid = ", ".join(_REGISTRY)
-        raise ValidationError(f"unknown env_id {env_id!r}; valid IDs: {valid}") from None
+    return _REGISTRY[checked("env_id", env_id, str, registered_env_ids())]
 
 
 def decode_action(config: EnvConfig, action: np.ndarray, current_angles: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import EVAL_SEED_OFFSET, PolicyArtifact
+from .agents import EVAL_SEED_OFFSET, SUPPORTED_ALGOS, PolicyArtifact
 from .envs import EnvConfig, config_to_json, make_env, registry_lookup, run_episodes, success_flags
 from .errors import LifecycleError, ValidationError
 from .experiment import (
@@ -59,16 +59,11 @@ class EpisodeRecord:
 
 
 def _check_dimensions(policy: PolicyArtifact, config: EnvConfig) -> None:
-    if policy.net is not None:
-        if policy.net.in_dim != config.obs_dim():
-            raise ValidationError(
-                f"policy expects obs dim {policy.net.in_dim}, env provides {config.obs_dim()}"
-            )
-        if policy.net.out_dim != config.n_joints:
-            raise ValidationError(
-                f"policy outputs {policy.net.out_dim} actions, env expects {config.n_joints}"
-            )
-    elif policy.n_actions != config.n_joints:
+    if policy.net is not None and policy.net.in_dim != config.obs_dim():
+        raise ValidationError(
+            f"policy expects obs dim {policy.net.in_dim}, env provides {config.obs_dim()}"
+        )
+    if policy.n_actions != config.n_joints:
         raise ValidationError(
             f"policy outputs {policy.n_actions} actions, env expects {config.n_joints}"
         )
@@ -128,23 +123,24 @@ def _run_lockstep(policy, config, seeds, deterministic, act_rng, goal_override, 
     return records
 
 
-# The columns of ``benchmark.csv`` as (name, type read back), in file order.
-# The metric columns are what ``aggregate_across_seeds`` returns;
-# ``metrics_to_benchmark_row`` adds the experiment's columns around them.
+# The columns of ``benchmark.csv``.  The metric columns are what ``aggregate_across_seeds``
+# returns; ``metrics_to_benchmark_row`` adds the experiment's columns around them.
 METRIC_COLUMNS = (
-    ("n_seeds", int), ("n_eval_episodes", int),  # episodes per seed
-    ("mean_return", float), ("std_return", float),
-    ("success_ratio_5mm", float), ("success_ratio_10mm", float),
-    ("success_ratio_20mm", float), ("success_ratio_50mm", float),
-    ("mean_final_distance_mm", float),
+    ("n_seeds", int, "[1, inf)"), ("n_eval_episodes", int, "[1, inf)"),  # episodes per seed
+    ("mean_return", float, "(-inf, inf)"), ("std_return", float, "[0, inf)"),
+    ("success_ratio_5mm", float, "[0, 1]"), ("success_ratio_10mm", float, "[0, 1]"),
+    ("success_ratio_20mm", float, "[0, 1]"), ("success_ratio_50mm", float, "[0, 1]"),
+    ("mean_final_distance_mm", float, "[0, inf)"),
 )
 BENCHMARK_COLUMNS = (
-    ("exp_id", int), ("env_id", str), ("algo", str), ("n_timesteps", int),
+    ("exp_id", int, "[1, inf)"), ("env_id", str, None), ("algo", str, SUPPORTED_ALGOS),
+    ("n_timesteps", int, "[1, inf)"),
     *METRIC_COLUMNS,
-    ("train_walltime_s", float), ("env_config_json", str), ("hyperparams_json", str),
+    ("train_walltime_s", float, "[0, inf)"), ("env_config_json", str, None),
+    ("hyperparams_json", str, None),
 )
-BENCHMARK_HEADER = [name for name, _ in BENCHMARK_COLUMNS]
-BENCHMARK_NUMERIC_METRICS = tuple(name for name, cast in BENCHMARK_COLUMNS if cast is not str)
+BENCHMARK_HEADER = [name for name, _, _ in BENCHMARK_COLUMNS]
+BENCHMARK_NUMERIC_METRICS = tuple(name for name, kind, _ in BENCHMARK_COLUMNS if kind is not str)
 
 
 def aggregate_across_seeds(per_seed: list[list[EpisodeRecord]]) -> dict:
@@ -176,7 +172,7 @@ def aggregate_across_seeds(per_seed: list[list[EpisodeRecord]]) -> dict:
         *ratios,
         float(np.mean([r.final_distance_m for r in all_records]) * 1e3),
     )
-    return dict(zip((name for name, _ in METRIC_COLUMNS), values, strict=True))
+    return dict(zip((name for name, _, _ in METRIC_COLUMNS), values, strict=True))
 
 
 @dataclass
@@ -262,9 +258,7 @@ def benchmark_rows_to_csv(rows: list[dict]) -> str:
 
 
 def benchmark_rows_from_csv(text: str, path: str = "benchmark.csv") -> list[dict]:
-    types = [cast for _, cast in BENCHMARK_COLUMNS]
-    rows = csv_rows(text, BENCHMARK_HEADER, types, path)
-    return [dict(zip(BENCHMARK_HEADER, cells)) for cells in rows]
+    return [dict(zip(BENCHMARK_HEADER, cells)) for cells in csv_rows(text, BENCHMARK_COLUMNS, path)]
 
 
 def read_benchmark(workspace: Path) -> list[dict]:
@@ -297,11 +291,9 @@ def append_benchmark_row(workspace: Path, row: dict) -> None:
     evaluators serialize instead of clobbering each other.
     """
     workspace = Path(workspace)
-    path = workspace / "benchmark.csv"
     with exclusive_lock(workspace / "benchmark.csv.lock"):
-        rows = benchmark_rows_from_csv(read_text(path), str(path)) if path.is_file() else []
-        rows = [r for r in rows if r["exp_id"] != row["exp_id"]] + [row]
-        atomic_write_text(path, benchmark_rows_to_csv(rows))
+        rows = [r for r in read_benchmark(workspace) if r["exp_id"] != row["exp_id"]] + [row]
+        atomic_write_text(workspace / "benchmark.csv", benchmark_rows_to_csv(rows))
 
 
 def evaluate_experiment(

@@ -30,13 +30,11 @@ policies and the training logs.
 
 from __future__ import annotations
 
-import sys
 import time
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import get_type_hints
 
 from .agents import (
     SUPPORTED_ALGOS,
@@ -59,6 +57,7 @@ from .ioutil import (
     read_text,
     run_in_workers,
 )
+from .schema import checked, checked_fields
 
 STATUS_CREATED = "Created"
 STATUS_RUNNING = "Running"
@@ -66,24 +65,23 @@ STATUS_COMPLETE = "Complete"
 STATUS_FAILED = "Failed"
 STATUSES = (STATUS_CREATED, STATUS_RUNNING, STATUS_COMPLETE, STATUS_FAILED)
 
-@dataclass
-class ExperimentRecord:
-    exp_id: int
-    algo: str
-    env_id: str
-    n_timesteps: int
-    n_seeds: int
-    base_seed: int
-    hyperparams: dict
-    created_at: str
-    status: str
-    extras: dict = field(default_factory=dict)  # unknown keys, preserved on rewrite
-
-
-# Each field's type, which config.json must hold: exp_id is an int, hyperparams a dict.
-_RECORD_FIELDS = {
-    name: kind for name, kind in get_type_hints(ExperimentRecord).items() if name != "extras"
-}
+# config.json's fields and the record that holds them; its reader also checks
+# that exp_id is its directory's and that algo's config reads hyperparams as recorded.
+RECORD_FIELDS = (
+    ("exp_id", int, "[1, inf)"), ("algo", str, SUPPORTED_ALGOS),
+    ("env_id", str, registered_env_ids()), ("n_timesteps", int, "[1, inf)"),
+    ("n_seeds", int, "[1, inf)"), ("base_seed", int, "[0, inf)"), ("hyperparams", dict, None),
+    ("created_at", str, None), ("status", str, STATUSES),
+)
+ExperimentRecord = make_dataclass("ExperimentRecord", [
+    *((name, kind) for name, kind, _ in RECORD_FIELDS),
+    ("extras", dict, field(default_factory=dict)),  # unknown keys, preserved on rewrite
+], namespace={"__module__": __name__})
+# run_meta.json's fields; its reader also checks that a seed is base_seed + k.
+RUN_META_FIELDS = (
+    ("seed", int, "[0, inf)"), ("status", str, ("complete", "failed")),
+    ("wall_time_s", float, "[0, inf)"),
+)
 
 
 @dataclass
@@ -102,7 +100,7 @@ def seed_dir(workspace: Path, exp_id: int, k: int) -> Path:
 
 
 def record_to_json(record: ExperimentRecord) -> str:
-    doc = {name: getattr(record, name) for name in _RECORD_FIELDS}
+    doc = {name: getattr(record, name) for name, _, _ in RECORD_FIELDS}
     doc.update(record.extras)
     return json_text(doc)
 
@@ -111,51 +109,24 @@ def save_record(workspace: Path, record: ExperimentRecord) -> None:
     atomic_write_text(exp_dir(workspace, record.exp_id) / "config.json", record_to_json(record))
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
-
-
-def _read_fields(path: Path, types: dict) -> dict:
-    """The JSON object at ``path``, in which each field named in ``types``
-    holds a value of its type: a float field may hold an int, and a bool is
-    neither."""
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise CorruptDataError(f"{path}: not a JSON object")
-    missing = [name for name in types if name not in doc]
-    if missing:
-        raise CorruptDataError(f"{path}: missing fields {missing}")
-    for name, kind in types.items():
-        value = doc[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-            raise CorruptDataError(f"{path}: bad {name} {value!r}: not {_JSON_TYPES[kind]}")
-    return doc
-
-
-def _check(path: Path, doc: dict, checks: dict) -> None:
-    """CorruptDataError naming the first field of ``checks``, {name: (ok, why)}, not ok."""
-    for name, (ok, why) in checks.items():
-        if not ok:
-            raise CorruptDataError(f"{path}: bad {name} {doc[name]!r}: {why}")
-
-
 def load_experiment(workspace: Path, exp_id: int) -> ExperimentRecord:
     """Reconstruct a record from its config.json (round-trip identity); a
     field whose value no experiment can hold is CorruptDataError."""
     path = exp_dir(workspace, exp_id) / "config.json"
     if not path.is_file():
         raise ValidationError(f"no experiment {exp_id} in workspace {workspace}")
-    doc = _read_fields(path, _RECORD_FIELDS)
-    _check(path, doc, {
-        "exp_id": (doc["exp_id"] == exp_id, f"not its directory's ID {exp_id}"),
-        "n_seeds": (doc["n_seeds"] >= 1, "not at least 1"),
-        "n_timesteps": (doc["n_timesteps"] >= 1, "not at least 1"),
-        "base_seed": (doc["base_seed"] >= 0, "not at least 0"),
-        "status": (doc["status"] in STATUSES, f"not one of {', '.join(STATUSES)}"),
-        "algo": (doc["algo"] in SUPPORTED_ALGOS, f"not one of {', '.join(SUPPORTED_ALGOS)}"),
-        "env_id": (doc["env_id"] in registered_env_ids(), "not a registered env ID"),
-    })
-    known = {name: doc[name] for name in _RECORD_FIELDS}
-    extras = {k: v for k, v in doc.items() if k not in _RECORD_FIELDS}
+    doc = read_json(path)
+    known = checked_fields(doc, RECORD_FIELDS, path)
+    if known["exp_id"] != exp_id:
+        raise CorruptDataError(f"{path}: bad exp_id {known['exp_id']!r}: not its directory's ID {exp_id}")
+    hyperparams = known["hyperparams"]
+    try:  # as create_experiment records them: each as the config reads it
+        config = make_algo_config(known["algo"], known["n_timesteps"], hyperparams)
+        if {name: getattr(config, name) for name in hyperparams} != hyperparams:
+            raise ValidationError("text or a number the config reads otherwise")
+    except ValidationError as err:
+        raise CorruptDataError(f"{path}: bad hyperparams {hyperparams!r}: not valid: {err}") from None
+    extras = {k: v for k, v in doc.items() if k not in known}
     return ExperimentRecord(**known, extras=extras)
 
 
@@ -174,24 +145,28 @@ def create_experiment(
     algo = algo.lower()
     registry_lookup(env_id)
     config = make_algo_config(algo, n_timesteps, hyperparams)  # raises on bad algo/hyperparams
-    if n_seeds < 1:
-        raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
-    if base_seed < 0:
-        raise ValidationError(f"base_seed must be >= 0, got {base_seed}")
+    n_seeds = checked("n_seeds", n_seeds, int, "[1, inf)")
+    base_seed = checked("base_seed", base_seed, int, "[0, inf)")
     exp_id = claim_numbered_dir(workspace, "exp_")
     record = ExperimentRecord(
         exp_id=exp_id,
         algo=algo,
         env_id=env_id,
         n_timesteps=config.n_timesteps,
-        n_seeds=int(n_seeds),
-        base_seed=int(base_seed),
+        n_seeds=n_seeds,
+        base_seed=base_seed,
         hyperparams={name: getattr(config, name) for name in hyperparams or {}},
         created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         status=STATUS_CREATED,
     )
     save_record(workspace, record)
     return record
+
+
+def run_meta_json(seed: int, wall_time_s: float, error: str | None = None) -> str:
+    """A seed run's ``run_meta.json``: status "complete", or "failed" with its error."""
+    meta = {"seed": seed, "wall_time_s": wall_time_s, "status": "complete" if error is None else "failed"}
+    return json_text(meta if error is None else {**meta, "error": error})
 
 
 def _run_seed(algo: str, env_id: str, seed: int, hyperparams: dict, n_timesteps: int) -> dict:
@@ -211,14 +186,10 @@ def _run_seed(algo: str, env_id: str, seed: int, hyperparams: dict, n_timesteps:
     except Exception as err:
         artifact, log = None, (getattr(err, "training_log", None) or TrainingLog())
         error = f"{type(err).__name__}: {err}"
-    meta = {"seed": seed, "wall_time_s": time.perf_counter() - start,
-            "status": "complete" if error is None else "failed"}
-    if error is not None:
-        meta["error"] = error
     files = {"training_log.csv": training_log_to_csv(log)}
     if artifact is not None:
         files["policy.json"] = policy_to_json(artifact)
-    files["run_meta.json"] = json_text(meta)
+    files["run_meta.json"] = run_meta_json(seed, time.perf_counter() - start, error)
     return files
 
 
@@ -235,8 +206,7 @@ def run_experiment(workspace: Path, exp_id: int, parallelism: int = 1) -> Experi
     a worker dies, each seed not yet written gets a "failed" ``run_meta.json``
     first, its error "stopped: ..." for all but the dead worker's seed.
     """
-    if parallelism < 1:
-        raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
+    checked("parallelism", parallelism, int, "[1, inf)")
     record = load_experiment(workspace, exp_id)
     if record.status != STATUS_CREATED:
         raise LifecycleError(f"experiment {exp_id} is {record.status}; only a Created one can run")
@@ -261,9 +231,10 @@ def run_experiment(workspace: Path, exp_id: int, parallelism: int = 1) -> Experi
     except WorkerExited as err:
         error = f"{type(err).__name__}: {err}"
         for k in sorted(set(range(record.n_seeds)) - set(written)):
-            meta = {"seed": jobs[k][2], "wall_time_s": err.seconds if k == err.job else 0.0,
-                    "status": "failed", "error": error if k == err.job else f"stopped: {error}"}
-            atomic_write_text(seed_dir(workspace, exp_id, k) / "run_meta.json", json_text(meta))
+            dead = k == err.job
+            meta = run_meta_json(jobs[k][2], err.seconds if dead else 0.0,
+                                 error if dead else f"stopped: {error}")
+            atomic_write_text(seed_dir(workspace, exp_id, k) / "run_meta.json", meta)
         raise
     finally:
         save_record(workspace, record)
@@ -271,22 +242,18 @@ def run_experiment(workspace: Path, exp_id: int, parallelism: int = 1) -> Experi
 
 
 def seed_runs(workspace: Path, record: ExperimentRecord) -> list[SeedRun]:
-    """Each seed run's status and wall time, from its run_meta.json; a
-    status but "complete" or "failed", or a wall time that is not a finite
-    number of at least 0, is CorruptDataError."""
+    """Each seed run's status and wall time, from its run_meta.json, whose
+    fields ``RUN_META_FIELDS`` checks."""
     runs = []
     for k in range(record.n_seeds):
         path = seed_dir(workspace, record.exp_id, k) / "run_meta.json"
         if not path.is_file():
             runs.append(SeedRun(k, "missing"))
             continue
-        meta = _read_fields(path, {"status": str, "wall_time_s": float})
-        _check(path, meta, {
-            "status": (meta["status"] in ("complete", "failed"), "not one of complete, failed"),
-            "wall_time_s": (0 <= meta["wall_time_s"] <= sys.float_info.max,
-                            "not a finite number of at least 0"),
-        })
-        runs.append(SeedRun(k, meta["status"], float(meta["wall_time_s"])))
+        meta = checked_fields(read_json(path), RUN_META_FIELDS, path)
+        if meta["seed"] != record.base_seed + k:
+            raise CorruptDataError(f"{path}: bad seed {meta['seed']!r}: not {record.base_seed + k}")
+        runs.append(SeedRun(k, meta["status"], meta["wall_time_s"]))
     return runs
 
 

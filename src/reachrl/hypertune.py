@@ -31,6 +31,7 @@ import numpy as np
 
 from .agents import EVAL_SEED_OFFSET, make_algo_config, train
 from .errors import NumericError, ValidationError
+from .schema import checked
 from .ioutil import (
     ask_parent,
     atomic_write_text,
@@ -135,10 +136,7 @@ class Trial:
     pruned_at_step: int | None = None
 
     def value_at(self, step: int) -> float | None:
-        for s, v in self.intermediate_values:
-            if s == step:
-                return v
-        return None
+        return dict(self.intermediate_values).get(step)
 
 
 @dataclass
@@ -150,8 +148,7 @@ class StudyReport:
 
 
 def checkpoint_schedule(total_timesteps: int, checkpoints: int) -> list[int]:
-    if checkpoints < 1:
-        raise ValidationError(f"checkpoints must be >= 1, got {checkpoints}")
+    checked("checkpoints", checkpoints, int, "[1, inf)")
     if total_timesteps < checkpoints:
         raise ValidationError(
             f"timesteps_per_trial {total_timesteps} < checkpoints {checkpoints}"
@@ -282,16 +279,13 @@ def run_study(
     its result and its exceptions must pickle, and its side effects stay
     there.
     """
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
+    checked("n_trials", n_trials, int, "[1, inf)")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if parallel < 1:
         raise ValidationError(f"parallel must be >= 1, got {parallel}")
-    if min_trials_before_prune < 1:  # the median rule needs a prior trial
-        raise ValidationError(
-            f"min_trials_before_prune must be >= 1, got {min_trials_before_prune}"
-        )
+    # The median rule needs a prior trial.
+    checked("min_trials_before_prune", min_trials_before_prune, int, "[1, inf)")
     steps = checkpoint_schedule(timesteps_per_trial, checkpoints)
     sampler = np.random.default_rng(seed)
     trials = [Trial(trial_id=i, config=sample_config(space, sampler)) for i in range(n_trials)]

@@ -1,10 +1,11 @@
 """The workspace file codec, crash-safe writes, ID claims, advisory locking,
 and the forked-worker runner.
 
-Every workspace CSV and JSON file but ``policy.json`` is written by
-``csv_text`` or ``json_text`` and read by ``read_text`` and ``csv_rows``, or
-``read_json``, which raise CorruptDataError naming the file on anything they
-would not write.
+Every workspace CSV is written by ``csv_text`` and read against its schema
+by ``csv_rows``; every JSON file but ``policy.json`` is written by
+``json_text`` and read by ``read_json`` and ``schema.checked_fields``.  They
+raise CorruptDataError naming the file (and a CSV's line) on anything its
+writer would not write.  ``agents.policy_from_json`` reads ``policy.json``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import CorruptDataError, WorkerExited
+from .schema import checked
 
 
 def _cell(value):
@@ -31,37 +33,40 @@ def _cell(value):
 
 
 def csv_text(header, rows) -> str:
-    """One header line, then one line per row; floats as repr, None as empty."""
+    """One header line, then one line per row; floats as repr, None as empty,
+    and every cell quoted in a row with a carriage return, which ends a line."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
+    quoting = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(header)
-    writer.writerows([_cell(value) for value in row] for row in rows)
+    for row in rows:
+        cells = [_cell(value) for value in row]
+        (quoting if any("\r" in cell for cell in cells if isinstance(cell, str)) else writer).writerow(cells)
     return buffer.getvalue()
 
 
-def csv_rows(text: str, header, types, source: str) -> list[list]:
-    """The rows of ``text`` under ``header``, cell i converted by ``types[i]``.
+def csv_rows(text: str, columns, source: str) -> list[list]:
+    """The rows of ``text`` under ``columns``, a schema of ``(name, kind,
+    domain)`` entries that the header names in order: each cell as
+    ``schema.checked`` reads its text.
 
-    Blank lines are skipped.  A different header, a row of another width or
-    a cell its type rejects raises CorruptDataError naming ``source`` and
-    the line.
+    A different header, a row of another width or a bad cell raises
+    CorruptDataError naming ``source`` and the line.
     """
+    header = [name for name, _, _ in columns]
     reader = csv.reader(io.StringIO(text))
     rows = []
     try:
         found = next(reader, [])
-        if found != list(header):
+        if found != header:
             raise CorruptDataError(f"{source}: line 1: unexpected header {found!r}")
         for cells in reader:
-            if not cells:
-                continue
+            where = f"{source}: line {reader.line_num}"
             if len(cells) != len(header):
-                raise CorruptDataError(
-                    f"{source}: line {reader.line_num} has {len(cells)} fields, "
-                    f"expected {len(header)}"
-                )
-            rows.append([cast(cell) for cast, cell in zip(types, cells)])
-    except (csv.Error, ValueError) as err:
+                raise CorruptDataError(f"{where} has {len(cells)} fields, expected {len(header)}")
+            rows.append([checked(name, cell, kind, domain, where, parse=True)
+                         for (name, kind, domain), cell in zip(columns, cells)])
+    except csv.Error as err:
         raise CorruptDataError(f"{source}: line {reader.line_num}: {err}") from None
     return rows
 

@@ -28,6 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .schema import checked
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -275,12 +276,19 @@ def gaussian_entropy(log_std: np.ndarray) -> float:
     return float(np.sum(log_std + 0.5 * math.log(2.0 * math.pi * math.e)))
 
 
+def _json_numbers(a: np.ndarray) -> list[float]:
+    """``a``'s values as JSON numbers: a float32 as its shortest repr, which
+    reads back to the same bits, not the 17 digits of its float64 value."""
+    a = a.reshape(-1)
+    return a.tolist() if a.dtype == np.float64 else [float(text) for text in a.astype(str)]
+
+
 def mlp_to_dict(net: Mlp) -> dict:
     """The net as JSON values; ``dtype`` is written only when not float64."""
     doc = {
         "layer_shapes": [list(s) for s in net.layer_shapes],
-        "weights": [w.reshape(-1).tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
+        "weights": [_json_numbers(w) for w in net.weights],
+        "biases": [_json_numbers(b) for b in net.biases],
     }
     if net.params.dtype != np.float64:
         doc["dtype"] = net.params.dtype.name
@@ -288,18 +296,12 @@ def mlp_to_dict(net: Mlp) -> dict:
 
 
 def mlp_from_dict(doc: dict) -> Mlp:
-    """The net ``mlp_to_dict`` wrote, float64 if ``dtype`` is absent; arrays
-    that do not fit the layers, non-finite values and a dtype other than
-    float32 or float64 raise ValidationError."""
-    dtype = doc.get("dtype", "float64")
-    if dtype not in ("float32", "float64"):
-        raise ValidationError(f"dtype {dtype!r} is neither float32 nor float64")
-    shapes = [(int(i), int(o)) for i, o in doc["layer_shapes"]]
-    with np.errstate(over="ignore"):  # a float64 beyond float32's range is caught as inf
-        arrays = [np.asarray(a, dtype=dtype).reshape(-1) for a in [*doc["weights"], *doc["biases"]]]
-    if not shapes or [a.size for a in arrays] != _segment_sizes(shapes):
+    """The net ``mlp_to_dict`` wrote (float64 if ``dtype`` is absent), each field as
+    ``schema.checked`` reads it; arrays that do not fit the layers raise ValidationError."""
+    dtype = np.dtype(checked("dtype", doc.get("dtype", "float64"), str, ("float32", "float64")))
+    shapes = [tuple(checked("layer_shapes", n, int, "[1, inf)") for n in s) for s in doc["layer_shapes"]]
+    arrays = [checked(name, a, dtype, "(-inf, inf)").reshape(-1)
+              for name in ("weights", "biases") for a in doc[name]]
+    if not shapes or any(len(s) != 2 for s in shapes) or [a.size for a in arrays] != _segment_sizes(shapes):
         raise ValidationError(f"arrays of sizes {[a.size for a in arrays]} for layers {shapes}")
-    params = np.concatenate(arrays)
-    if not np.isfinite(params).all():
-        raise ValidationError("non-finite weight or bias")
-    return Mlp(shapes, params)
+    return Mlp(shapes, np.concatenate(arrays))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, AlgoConfig, PolicyArtifact, hp
+from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact, PpoConfig
 from .errors import NumericError, ValidationError
 from .nets import (
     GaussianHead,
@@ -42,28 +42,6 @@ from .nets import (
 )
 
 HIDDEN_SIZES = (64, 64)
-
-
-@dataclass
-class PpoConfig(AlgoConfig):
-    rollout_len: int = hp(2048, "[1, inf)")
-    minibatch_size: int = hp(64, "[1, inf)")
-    n_epochs: int = hp(10, "[1, inf)")
-    lr: float = hp(3e-4, "(0, inf)")
-    gamma: float = hp(0.99, "(0, 1]")
-    gae_lambda: float = hp(0.95, "[0, 1]")
-    clip_range: float = hp(0.2, "(0, inf)")
-    ent_coef: float = hp(0.0, "[0, inf)")
-    vf_coef: float = hp(0.5, "[0, inf)")
-    max_grad_norm: float = hp(0.5, "(0, inf)")
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.rollout_len % self.minibatch_size != 0:
-            raise ValidationError(
-                f"rollout_len {self.rollout_len} not divisible by "
-                f"minibatch_size {self.minibatch_size}"
-            )
 
 
 def compute_gae(

@@ -217,19 +217,22 @@ def render_bar_chart(
     return canvas.render()
 
 
-CURVES_DATA_HEADER = ["series", "timestep", "episode_return"]
+# training_curves.data.csv's columns.
+CURVES_DATA_COLUMNS = (
+    ("series", str, None), ("timestep", float, "(-inf, inf)"), ("episode_return", float, "(-inf, inf)"),
+)
 
 
 def series_to_csv(series_list: list[Series]) -> str:
     return csv_text(
-        CURVES_DATA_HEADER,
+        [name for name, _, _ in CURVES_DATA_COLUMNS],
         ([s.label, x, y] for s in series_list for x, y in zip(s.xs.tolist(), s.ys.tolist())),
     )
 
 
 def series_from_csv(text: str) -> list[Series]:
     points: dict[str, tuple[list, list]] = {}  # labels in order of first appearance
-    for label, x, y in csv_rows(text, CURVES_DATA_HEADER, (str, float, float), "plot data"):
+    for label, x, y in csv_rows(text, CURVES_DATA_COLUMNS, "plot data"):
         xs, ys = points.setdefault(label, ([], []))
         xs.append(x)
         ys.append(y)

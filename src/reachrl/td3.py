@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, AlgoConfig, PolicyArtifact, hp
+from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact, Td3Config
 from .errors import NumericError, ValidationError
 from .nets import (
     Mlp,
@@ -35,27 +35,6 @@ from .nets import (
 from .ppo import HIDDEN_SIZES
 
 DTYPE = np.float32
-
-
-@dataclass
-class Td3Config(AlgoConfig):
-    buffer_size: int = hp(100_000, "[1, inf)")
-    batch_size: int = hp(256, "[1, inf)")
-    learning_starts: int = hp(1_000, "[0, inf)")
-    policy_delay: int = hp(2, "[1, inf)")
-    lr: float = hp(1e-3, "(0, inf)")
-    gamma: float = hp(0.99, "[0, 1]")
-    tau: float = hp(0.005, "(0, 1]")
-    policy_noise: float = hp(0.2, "[0, inf)")
-    noise_clip: float = hp(0.5, "[0, inf)")
-    explore_noise: float = hp(0.1, "[0, inf)")
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.buffer_size < self.batch_size:
-            raise ValidationError(
-                f"buffer_size {self.buffer_size} < batch_size {self.batch_size}"
-            )
 
 
 class ReplayBuffer:

@@ -562,6 +562,15 @@ def test_random_policy_artifact():
     lambda doc: doc.update(log_std=[LOG_STD_MIN - 1.0, 0.0]),
     lambda doc: doc.update(dtype="float16"),
     lambda doc: doc.update(dtype=["float64"]),
+    lambda doc: doc.pop("kind"),
+    lambda doc: doc.update(layer_shapes=[[5, 4], [4, 2.5]]),
+    lambda doc: doc.update(layer_shapes=[[5, 4], [4, True]]),
+    lambda doc: doc.update(layer_shapes=[[5, 4, 1], [4, 2]]),
+    lambda doc: doc["weights"][0].__setitem__(0, "0.5"),
+    lambda doc: doc.update(kind="random", n_actions=2.7),
+    lambda doc: doc.update(kind="random", n_actions=True),
+    lambda doc: doc.update(kind="random", n_actions=0),
+    lambda doc: doc.update(kind="random"),  # without n_actions
 ])
 def test_policy_from_json_rejects_a_tampered_policy(tamper):
     net = mlp_init([5, 4, 2], np.random.default_rng(0))

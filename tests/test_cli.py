@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 import os
 import signal
@@ -479,9 +480,21 @@ META = '{"seed": 0, "status": %s, "wall_time_s": %s}\n'
     ("evaluate", "seed_0/run_meta.json", META % ('"complete"', "-5"), "bad wall_time_s -5"),
     ("evaluate", "seed_0/run_meta.json", META % ('"complete"', "1e400"), "bad wall_time_s inf"),
     ("evaluate", "config.json", '{"exp_id": 1, broken', "byte offset"),
+    ("plot", "seed_0/training_log.csv", LOG_HEADER + "100,1,nan,0.1\n", "line 2: bad episode_return 'nan'"),
+    ("plot", "seed_0/training_log.csv", LOG_HEADER + "200,2,-1.0,0.1\n100,1,-1.0,0.1\n",
+     "line 2: bad episode 2: not 1"),
+    ("plot", "seed_0/training_log.csv", LOG_HEADER + "100,1,-1.0,0.1\n100,2,-1.0,0.1\n",
+     "line 3: bad timestep 100: not above 100"),
+    ("plot", "seed_0/training_log.csv", LOG_HEADER + "100,1,-1.0,-0.5\n",
+     "line 2: bad episode_final_distance_m '-0.5'"),
+    ("evaluate", "seed_0/run_meta.json", '{"status": "complete", "wall_time_s": 1.0}\n',
+     "missing fields ['seed']"),
+    ("evaluate", "seed_0/run_meta.json", '{"seed": 3, "status": "complete", "wall_time_s": 1.0}\n',
+     "bad seed 3: not 0"),
 ], ids=["log-header", "log-short-row", "log-not-a-number", "meta-not-json", "meta-missing-key",
         "meta-bad-status", "meta-nan-time", "meta-negative-time", "meta-infinite-time",
-        "config-not-json"])
+        "config-not-json", "log-nan-return", "log-reversed-rows", "log-repeated-timestep",
+        "log-negative-distance", "meta-missing-seed", "meta-wrong-seed"])
 def test_malformed_workspace_file_exits_two_naming_it(tmp_path, capsys, command, name, text, where):
     run(["train", "--algo", "random", "--env", "reach-planar-v1",
          "--n-timesteps", "100", "--n-seeds", "1", "--workspace", str(tmp_path)])
@@ -516,6 +529,7 @@ def test_config_field_of_wrong_type_exits_two_naming_it(tmp_path, capsys, field,
     ("exp_id", 2), ("exp_id", -1), ("n_seeds", 0), ("n_seeds", -1), ("n_timesteps", 0),
     ("n_timesteps", -1), ("base_seed", -1), ("status", "x"), ("status", "complete"),
     ("algo", "x"), ("algo", "PPO"), ("env_id", "x"),
+    ("hyperparams", {"bogus": 1, "n_timesteps": -3}), ("hyperparams", {"n_timesteps": 100}),
 ])
 def test_config_field_of_impossible_value_exits_two_naming_it(tmp_path, capsys, field, value):
     run(["train", "--algo", "random", "--env", "reach-planar-v1",
@@ -529,6 +543,49 @@ def test_config_field_of_impossible_value_exits_two_naming_it(tmp_path, capsys, 
         assert err.startswith(f"runtime failure: {path}: bad {field} {value!r}: not ")
         assert "Traceback" not in err
     assert not (tmp_path / "benchmark.csv").exists()
+
+
+@pytest.mark.parametrize("column, text", [
+    ("mean_return", "nan"), ("success_ratio_5mm", "7.5"), ("n_seeds", "0"), ("std_return", "-1.0"),
+    ("mean_final_distance_mm", "inf"), ("algo", "sac"),
+])
+def test_damaged_benchmark_row_exits_two_naming_it(tmp_path, capsys, column, text):
+    run(["train", "--algo", "random", "--env", "reach-planar-v1",
+         "--n-timesteps", "100", "--n-seeds", "1", "--workspace", str(tmp_path)])
+    run(["evaluate", "--exp-id", "1", "--n-eval-episodes", "2", "--workspace", str(tmp_path)])
+    path = tmp_path / "benchmark.csv"
+    header, row = csv.reader(path.read_text().splitlines())
+    row[header.index(column)] = text
+    with path.open("w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header, row])
+    for command in (["benchmark", "--exp-ids", "1", "--metric", "mean_return"],
+                    ["evaluate", "--exp-id", "1", "--n-eval-episodes", "2"]):
+        capsys.readouterr()
+        assert run([*command, "--workspace", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime failure: {path}: line 2: bad {column} {text!r}: not ")
+        assert err.count("runtime failure:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_actions", 2.7), ("n_actions", True), ("n_actions", "2"), ("kind", None),  # None: removed
+])
+def test_tampered_random_policy_exits_one_naming_it(tmp_path, capsys, field, value):
+    run(["train", "--algo", "random", "--env", "reach-planar-v1",
+         "--n-timesteps", "100", "--n-seeds", "1", "--workspace", str(tmp_path)])
+    path = tmp_path / "exp_1" / "seed_0" / "policy.json"
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evaluate", "--exp-id", "1", "--n-eval-episodes", "2",
+                "--workspace", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not a valid policy: ")
+    assert field in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, name, data, code, message", [

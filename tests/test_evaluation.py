@@ -161,7 +161,7 @@ def test_aggregate_hand_example():
         [EpisodeRecord(3.0, 0.03, (False, False, True, True))],
     ]
     metrics = aggregate_across_seeds(per_seed)
-    assert list(metrics) == [name for name, _ in METRIC_COLUMNS]
+    assert list(metrics) == [name for name, _, _ in METRIC_COLUMNS]
     assert metrics["mean_return"] == pytest.approx(2.0)
     assert metrics["std_return"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
     assert [metrics[name] for name in SUCCESS_COLUMNS] == pytest.approx((1 / 3, 2 / 3, 1.0, 1.0))

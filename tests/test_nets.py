@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -320,6 +321,24 @@ def test_mlp_dict_round_trip():
     restored = mlp_from_dict(mlp_to_dict(net))
     assert restored.layer_shapes == net.layer_shapes
     np.testing.assert_array_equal(net.params, restored.params)
+
+
+def test_float32_weights_round_trip_bit_exact_at_their_shortest():
+    # Sampled bit patterns, then subnormals, both zeros, and the largest and
+    # smallest normals of both signs: each is written as its shortest repr.
+    rng = np.random.default_rng(3)
+    signs = rng.integers(0, 2, size=2_000, dtype=np.uint32) << np.uint32(31)
+    subnormals = rng.integers(1, 2**23, size=2_000, dtype=np.uint32) | signs
+    bits = np.concatenate([rng.integers(0, 2**32, size=20_000, dtype=np.uint32), subnormals])
+    tiny, big = np.finfo(np.float32).tiny, np.finfo(np.float32).max
+    special = np.array([0.0, -0.0, tiny, -tiny, big, -big, tiny / 2**23, -tiny / 2**23], np.float32)
+    values = np.concatenate([bits.view(np.float32), special])
+    values = values[np.isfinite(values)]
+    net = Mlp([(values.size - 1, 1)], values)
+    doc = json.loads(json.dumps(mlp_to_dict(net)))
+    assert mlp_from_dict(doc).params.tobytes() == values.tobytes()
+    written = doc["weights"][0] + doc["biases"][0]
+    assert all(len(repr(v)) <= len(repr(float(x))) for v, x in zip(written, values.tolist()))
 
 
 @pytest.mark.parametrize("tamper", [
