@@ -6,8 +6,14 @@ trial and the best configuration found.
 """
 
 import argparse
+import os
 
-from reachrl.cli import main as cli
+from reachrl import BLAS_THREAD_VARS  # loads no numpy
+
+# One BLAS thread, set before numpy loads, as the ``reachrl`` command sets it.
+os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+from reachrl.cli import main as cli  # noqa: E402  (after pinning BLAS)
 
 
 def main():

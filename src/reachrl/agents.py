@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import reprlib
 from dataclasses import dataclass, field, make_dataclass
 from typing import Callable
 
@@ -32,6 +33,7 @@ from .schema import checked
 NET_SEED_OFFSET = 1000
 NOISE_SEED_OFFSET = 2000
 EVAL_SEED_OFFSET = 3000
+HIDDEN_SIZES = (64, 64)  # every trainer's nets: two tanh layers of 64
 
 POLICY_KINDS = ("gaussian", "tanh", "random")
 
@@ -197,9 +199,11 @@ def policy_to_json(policy: PolicyArtifact) -> str:
 def policy_from_json(text: str | bytes, source: str = "text") -> PolicyArtifact:
     """The policy ``policy_to_json`` wrote, each field as ``schema.checked``
     reads it: a random policy has ``n_actions``, the others a net, and a
-    Gaussian one ``log_std`` per action.  Anything else raises ValidationError."""
+    Gaussian one ``log_std`` per action.  Bytes must be UTF-8.  Anything else
+    raises ValidationError."""
     try:
-        doc = checked("policy", json.loads(text), dict)
+        # Strict: json.loads would take bytes in UTF-16 or UTF-32 too.
+        doc = checked("policy", json.loads(text.decode() if isinstance(text, bytes) else text), dict)
         kind = checked("kind", doc.get("kind"), str, POLICY_KINDS)
         if kind == "random":
             return PolicyArtifact(kind, n_actions=checked("n_actions", doc.get("n_actions"), int, "[1, inf)"))
@@ -209,7 +213,9 @@ def policy_from_json(text: str | bytes, source: str = "text") -> PolicyArtifact:
             if log_std.shape != (net.out_dim,):
                 raise ValidationError(f"log_std of shape {log_std.shape} for {net.out_dim} actions")
         return PolicyArtifact(kind=kind, net=net, log_std=log_std, n_actions=net.out_dim)
-    except (KeyError, TypeError, ValueError, ValidationError) as err:  # decode errors too
+    except UnicodeDecodeError as err:  # its repr holds the whole input
+        raise ValidationError(f"{source} is not a valid policy: not UTF-8 at byte offset {err.start}") from None
+    except (KeyError, TypeError, ValueError, ValidationError) as err:  # JSON errors too
         raise ValidationError(f"{source} is not a valid policy: {err!r}") from None
 
 
@@ -222,7 +228,7 @@ def make_algo_config(algo: str, n_timesteps: int, hyperparams: dict | None = Non
     unknown = sorted(set(hyperparams) - set(cls.__dataclass_fields__))
     if unknown:
         raise ValidationError(
-            f"unknown hyperparameters for {algo}: {', '.join(unknown)}; "
+            f"unknown hyperparameters for {algo}: {reprlib.repr(unknown)}; "
             f"valid: {', '.join(sorted(cls.__dataclass_fields__))}"
         )
     return cls(n_timesteps=n_timesteps, **hyperparams)

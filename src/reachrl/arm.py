@@ -186,23 +186,6 @@ def step_joint_angles(model: ArmModel, angles: np.ndarray, delta: np.ndarray) ->
     return clamp_to_limits(model, angles + stepped)
 
 
-def model_to_dict(model: ArmModel) -> dict:
-    return {
-        "name": model.name,
-        "joints": [
-            {
-                "axis": list(j.axis),
-                "link_offset": list(j.link_offset),
-                "lower_limit": j.lower_limit,
-                "upper_limit": j.upper_limit,
-                "max_step": j.max_step,
-            }
-            for j in model.joints
-        ],
-        "tool": list(model.tool),
-    }
-
-
 _X = (1.0, 0.0, 0.0)
 _Y = (0.0, 1.0, 0.0)
 _Z = (0.0, 0.0, 1.0)

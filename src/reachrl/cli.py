@@ -187,7 +187,7 @@ def cmd_evaluate(args) -> int:
         from .report import emit_episode_panels
 
         episode, csv_path = write_episode_log(workspace, args.exp_id)
-        svg_path, _ = emit_episode_panels(episode, csv_path.parent)
+        svg_path = emit_episode_panels(episode, csv_path.parent)
         print(f"episode log: {csv_path}")
         print(f"episode panels: {svg_path}")
     return 0

@@ -23,7 +23,7 @@ step through it, so reset, step, return sums and episode logs live in one place.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -382,18 +382,6 @@ def make_env(env_id_or_config: str | EnvConfig, seed=None) -> EnvInstance:
     return env
 
 
-def config_to_dict(config: EnvConfig) -> dict:
-    return {
-        "env_id": config.env_id,
-        "action_mode": config.action_mode.value,
-        "obs_mode": config.obs_mode.value,
-        "reward_type": config.reward_type.value,
-        "episode_len": config.episode_len,
-        "goal_box": [list(config.goal_box[0]), list(config.goal_box[1])],
-        "success_thresholds_mm": list(config.success_thresholds_mm),
-        "arm": arm.model_to_dict(config.arm),
-    }
-
-
 def config_to_json(config: EnvConfig) -> str:
-    return json.dumps(config_to_dict(config), separators=(",", ":"))
+    """The config as compact JSON: its fields in declaration order, the enums as their values."""
+    return json.dumps(asdict(config), separators=(",", ":"))

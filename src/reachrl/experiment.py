@@ -30,6 +30,7 @@ policies and the training logs.
 
 from __future__ import annotations
 
+import reprlib
 import time
 from contextlib import closing
 from dataclasses import dataclass, field, make_dataclass
@@ -125,7 +126,7 @@ def load_experiment(workspace: Path, exp_id: int) -> ExperimentRecord:
         if {name: getattr(config, name) for name in hyperparams} != hyperparams:
             raise ValidationError("text or a number the config reads otherwise")
     except ValidationError as err:
-        raise CorruptDataError(f"{path}: bad hyperparams {hyperparams!r}: not valid: {err}") from None
+        raise CorruptDataError(f"{path}: bad hyperparams {reprlib.repr(hyperparams)}: not valid: {err}") from None
     extras = {k: v for k, v in doc.items() if k not in known}
     return ExperimentRecord(**known, extras=extras)
 
@@ -266,7 +267,7 @@ def completed_seeds(exp_id: int, runs: list[SeedRun]) -> list[int]:
 
 
 def load_seed_policy(workspace: Path, exp_id: int, k: int) -> PolicyArtifact:
-    """The trained policy of seed run k; read as bytes, so non-UTF-8 is invalid."""
+    """The trained policy of seed run k, read as bytes that must be UTF-8."""
     path = seed_dir(workspace, exp_id, k) / "policy.json"
     return policy_from_json(path.read_bytes(), str(path))
 

@@ -42,6 +42,7 @@ from .ioutil import (
 )
 
 MIN_TRIALS_BEFORE_PRUNE = 5
+CHECKPOINT_EVAL_EPISODES = 20
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def checkpoint_schedule(total_timesteps: int, checkpoints: int) -> list[int]:
     return [round(total_timesteps * (j + 1) / checkpoints) for j in range(checkpoints)]
 
 
-def checkpoint_eval_return(artifact, env_id: str, seed: int, n_eval_episodes: int = 20) -> float:
+def checkpoint_eval_return(artifact, env_id: str, seed: int, n_eval_episodes: int) -> float:
     """The checkpoint metric: mean deterministic evaluation return."""
     from .evaluation import evaluate_policy
 
@@ -173,7 +174,7 @@ def checkpointed_training(
     seed: int,
     hyperparams: dict,
     checkpoint_steps: list[int],
-    n_eval_episodes: int = 20,
+    n_eval_episodes: int = CHECKPOINT_EVAL_EPISODES,
     report=None,
 ):
     """Train to the last checkpoint, evaluating at each one.
@@ -200,7 +201,7 @@ def training_trial_runner(
     trial_config: dict,
     checkpoint_steps: list[int],
     report,
-    n_eval_episodes: int = 20,
+    n_eval_episodes: int = CHECKPOINT_EVAL_EPISODES,
 ) -> float | None:
     """Default trial runner: real training with checkpoint evaluations.
 

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import re
+import reprlib
 import signal
 import tempfile
 import time
@@ -59,7 +60,7 @@ def csv_rows(text: str, columns, source: str) -> list[list]:
     try:
         found = next(reader, [])
         if found != header:
-            raise CorruptDataError(f"{source}: line 1: unexpected header {found!r}")
+            raise CorruptDataError(f"{source}: line 1: unexpected header {reprlib.repr(found)}")
         for cells in reader:
             where = f"{source}: line {reader.line_num}"
             if len(cells) != len(header):

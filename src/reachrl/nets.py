@@ -32,6 +32,9 @@ from .schema import checked
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
+ADAM_BETA1 = 0.9  # Adam's decay rates and denominator term, as Kingma and Ba give them
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -188,19 +191,16 @@ def mlp_backward(
 
 @dataclass
 class AdamState:
-    """Adam moments for one parameter vector, plus the shared hyperparameters."""
+    """Adam moments for one parameter vector, its step count and learning rate."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
-    step_count: int = 0
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    step_count: int
+    lr: float
 
 
-def adam_init(params: np.ndarray, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(np.zeros_like(params), np.zeros_like(params), 0, lr, beta1, beta2, eps)
+def adam_init(params: np.ndarray, lr: float) -> AdamState:
+    return AdamState(np.zeros_like(params), np.zeros_like(params), 0, lr)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
@@ -211,14 +211,14 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         raise NumericError("non-finite gradient in Adam step")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     m, v = state.first_moment, state.second_moment
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grads
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grads * grads
-    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def clip_grad_norm(grads: np.ndarray, max_norm: float, sizes: list[int]) -> float:

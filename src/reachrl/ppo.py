@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact, PpoConfig
+from .agents import HIDDEN_SIZES, NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact, PpoConfig
 from .errors import NumericError, ValidationError
 from .nets import (
     GaussianHead,
@@ -40,8 +40,6 @@ from .nets import (
     mlp_init,
     pack,
 )
-
-HIDDEN_SIZES = (64, 64)
 
 
 def compute_gae(

@@ -1,9 +1,11 @@
 """Figures from logs: training curves, episode panels, benchmark bars.
 
 Everything is emitted as standalone SVG 1.1 (no plotting window, no raster
-dependencies) together with a ``<figure>.data.csv`` sidecar holding exactly
-the plotted values.  Rendering is a pure function of its inputs, so output
-bytes are deterministic and safe to diff in tests.
+dependencies) next to a CSV holding exactly the plotted values: the curves
+and bars write theirs as a ``<figure>.data.csv`` sidecar, and the episode
+panels plot the ``episode_eval.csv`` that evaluation writes.  Rendering is
+a pure function of its inputs, so output bytes are deterministic and safe to
+diff in tests.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .errors import ValidationError
 from .evaluation import (
     BENCHMARK_NUMERIC_METRICS,
     EpisodeLog,
-    episode_log_to_csv,
     read_benchmark,
 )
 from .experiment import completed_seeds, exp_dir, load_experiment, load_training_log, seed_runs
@@ -147,7 +148,6 @@ def render_line_chart(
     xlabel: str,
     ylabel: str,
     emphasize: str | None = None,
-    y_limits: tuple[float, float] | None = None,
     size: tuple[int, int] = (640, 400),
 ) -> str:
     """One polyline per series, shared axes, legend and title."""
@@ -158,7 +158,7 @@ def render_line_chart(
     xs_all = np.concatenate([s.xs for s in series_list])
     ys_all = np.concatenate([s.ys for s in series_list])
     x_range = _axis_range(float(xs_all.min()), float(xs_all.max()))
-    y_range = y_limits or _axis_range(float(ys_all.min()), float(ys_all.max()))
+    y_range = _axis_range(float(ys_all.min()), float(ys_all.max()))
     canvas.text(size[0] / 2, 18, title, size=13, anchor="middle")
     _draw_axes(canvas, box, x_range, y_range, xlabel, ylabel)
 
@@ -171,7 +171,7 @@ def render_line_chart(
     for i, series in enumerate(series_list):
         bold = series.label == emphasize
         color = "#000000" if bold else _PALETTE[i % len(_PALETTE)]
-        points = [(px(x), py(np.clip(y, *y_range))) for x, y in zip(series.xs, series.ys)]
+        points = [(px(x), py(y)) for x, y in zip(series.xs, series.ys)]
         canvas.polyline(points, stroke=color, width=3.0 if bold else 1.5)
         canvas.text(box[2] - 120, box[1] + 14 * (i + 1), series.label, size=10, fill=color)
     return canvas.render()
@@ -321,14 +321,11 @@ def render_episode_panels(log: EpisodeLog) -> str:
     return canvas.render()
 
 
-def emit_episode_panels(log: EpisodeLog, out_dir: Path) -> tuple[Path, Path]:
-    """Write episode_panels.svg plus the episode log as its data sidecar."""
-    out_dir = Path(out_dir)
-    svg_path = out_dir / "episode_panels.svg"
-    csv_path = out_dir / "episode_panels.data.csv"
+def emit_episode_panels(log: EpisodeLog, out_dir: Path) -> Path:
+    """Write episode_panels.svg, whose data is the episode_eval.csv beside it."""
+    svg_path = Path(out_dir) / "episode_panels.svg"
     atomic_write_text(svg_path, render_episode_panels(log))
-    atomic_write_text(csv_path, episode_log_to_csv(log))
-    return svg_path, csv_path
+    return svg_path
 
 
 def emit_benchmark_comparison(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact, Td3Config
+from .agents import HIDDEN_SIZES, NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact, Td3Config
 from .errors import NumericError, ValidationError
 from .nets import (
     Mlp,
@@ -32,7 +32,6 @@ from .nets import (
     mlp_init,
     pack,
 )
-from .ppo import HIDDEN_SIZES
 
 DTYPE = np.float32
 

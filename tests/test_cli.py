@@ -196,8 +196,13 @@ def test_evaluate_log_episode_artifacts(tmp_path, capsys):
     code = run(["evaluate", "--exp-id", "1", "--n-eval-episodes", "2",
                 "--log-episode", "--workspace", str(tmp_path)])
     assert code == 0
-    assert (tmp_path / "exp_1" / "episode_eval.csv").is_file()
-    assert (tmp_path / "exp_1" / "episode_panels.svg").is_file()
+    # The panels' data is episode_eval.csv: the command writes no other file.
+    assert sorted(p.name for p in (tmp_path / "exp_1").iterdir()) == [
+        "config.json", "episode_eval.csv", "episode_panels.svg", "seed_0",
+    ]
+    assert sorted(p.name for p in (tmp_path / "exp_1" / "seed_0").iterdir()) == [
+        "policy.json", "run_meta.json", "training_log.csv",
+    ]
 
 
 def test_benchmark_one_bar(tmp_path, capsys):
@@ -455,6 +460,16 @@ def test_commands_load_only_the_subsystems_they_run(tmp_path):
     })
 
 
+@pytest.mark.parametrize("module, other", [("td3", "ppo"), ("ppo", "td3")])
+def test_a_trainer_module_loads_no_other_trainer(module, other):
+    # Imported directly: train's own process imports no trainer, its seed workers do.
+    code = f"import sys, reachrl.{module}; print('reachrl.{other}' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_corrupt_benchmark_exits_two(tmp_path, capsys):
     run(["train", "--algo", "random", "--env", "reach-planar-v1",
          "--n-timesteps", "100", "--n-seeds", "1", "--workspace", str(tmp_path)])
@@ -597,7 +612,14 @@ def test_tampered_random_policy_exits_one_naming_it(tmp_path, capsys, field, val
      b"exp_id\xff\n", 2, "runtime failure: {path}: not UTF-8 at byte offset 6"),
     (["evaluate", "--exp-id", "1", "--n-eval-episodes", "2"], "exp_1/seed_0/policy.json",
      b"\xff", 1, "error: {path} is not a valid policy"),
-], ids=["plot-log", "benchmark-csv", "evaluate-benchmark-csv", "evaluate-policy"])
+    (["evaluate", "--exp-id", "1", "--n-eval-episodes", "2"], "exp_1/seed_0/policy.json",
+     b'{"kind": "random", "n_actions": 2, "pad": "' + b"x" * 60_000 + b'\xff"}\n', 1,
+     "error: {path} is not a valid policy: not UTF-8 at byte offset 60043\n"),
+    (["evaluate", "--exp-id", "1", "--n-eval-episodes", "2"], "exp_1/seed_0/policy.json",
+     '{"kind": "random", "n_actions": 2}\n'.encode("utf-16"), 1,
+     "error: {path} is not a valid policy: not UTF-8 at byte offset 0\n"),
+], ids=["plot-log", "benchmark-csv", "evaluate-benchmark-csv", "evaluate-policy",
+        "evaluate-policy-stray-byte", "evaluate-policy-utf16"])
 def test_non_utf8_workspace_file_fails_naming_it(tmp_path, capsys, command, name, data, code,
                                                  message):
     run(["train", "--algo", "random", "--env", "reach-planar-v1",
@@ -608,7 +630,31 @@ def test_non_utf8_workspace_file_fails_naming_it(tmp_path, capsys, command, name
     assert run([*command, "--workspace", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith(message.format(path=path))
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and len(err.encode()) < 1024 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name, edit", [
+    ("evaluate", "exp_1/config.json",
+     lambda text: json.dumps({**json.loads(text), "hyperparams": {f"k{i}": 1 for i in range(2000)}})),
+    ("plot", "exp_1/seed_0/training_log.csv", lambda text: ",".join(["timestep"] * 2000) + "\n"),
+    ("benchmark", "benchmark.csv", lambda text: ",".join(["exp_id"] * 2000) + "\n"),
+    ("evaluate", "exp_1/config.json", lambda text: json.dumps(
+        {**json.loads(text), "algo": "ppo", "hyperparams": {"x" * 5000: 1, "lr": 0.1}})),
+], ids=["config-2000-hyperparams", "log-2000-columns", "benchmark-2000-columns",
+        "config-long-hyperparameter-name"])
+def test_a_long_file_value_gives_one_short_error_line(tmp_path, capsys, command, name, edit):
+    run(["train", "--algo", "random", "--env", "reach-planar-v1",
+         "--n-timesteps", "100", "--n-seeds", "1", "--workspace", str(tmp_path)])
+    run(["evaluate", "--exp-id", "1", "--n-eval-episodes", "2", "--workspace", str(tmp_path)])
+    path = tmp_path / name
+    path.write_text(edit(path.read_text()))
+    args = {"evaluate": ["--exp-id", "1", "--n-eval-episodes", "2"], "plot": ["--exp-id", "1"],
+            "benchmark": ["--exp-ids", "1", "--metric", "mean_return"]}[command]
+    capsys.readouterr()
+    assert run([command, *args, "--workspace", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {path}: ")
+    assert err.count("\n") == 1 and len(err.encode()) < 1024 and "Traceback" not in err
 
 
 def test_workspace_env_var_default(tmp_path, monkeypatch, capsys):

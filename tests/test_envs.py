@@ -1,17 +1,20 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachrl.arm import ArmModel, JointSpec
 from reachrl.envs import (
     ActionMode,
+    EnvConfig,
     ObsMode,
     RewardType,
     compose_observation,
     compute_reward,
-    config_to_dict,
+    config_to_json,
     decode_action,
     make_env,
     registered_env_ids,
@@ -378,8 +381,57 @@ def test_set_goal_rejects_outside_box():
 
 def test_config_json_round_trip():
     config = registry_lookup("reach-v6")
-    doc = config_to_dict(config)
+    doc = json.loads(config_to_json(config))
+    assert doc == json.loads(json.dumps(dataclasses.asdict(config)))
     assert set(doc) == {
         "env_id", "action_mode", "obs_mode", "reward_type",
         "episode_len", "goal_box", "success_thresholds_mm", "arm",
     }
+
+    def tuples(value):
+        return tuple(map(tuples, value)) if isinstance(value, list) else value
+
+    arm = doc.pop("arm")
+    joints = tuple(JointSpec(**{k: tuples(v) for k, v in j.items()}) for j in arm["joints"])
+    rebuilt = EnvConfig(**{k: tuples(v) for k, v in doc.items()},
+                        arm=ArmModel(arm["name"], joints, tuples(arm["tool"])))
+    assert rebuilt == config
+    assert (rebuilt.action_mode, rebuilt.obs_mode, rebuilt.reward_type) == (
+        ActionMode.ABSOLUTE_JOINT, ObsMode.JOINTS_GOAL, RewardType.SPARSE)
+
+
+# benchmark.csv's env_config_json of two registered envs, byte for byte.
+PLANAR_V1_JSON = (
+    '{"env_id":"reach-planar-v1","action_mode":"RelativeJoint","obs_mode":"JointsGoal",'
+    '"reward_type":"DenseSquared","episode_len":100,"goal_box":[[0.1,-0.15,0.0],[0.25,'
+    '0.15,0.0]],"success_thresholds_mm":[5.0,10.0,20.0,50.0],"arm":{"name":"planar2",'
+    '"joints":[{"axis":[0.0,0.0,1.0],"link_offset":[0.0,0.0,0.0],'
+    '"lower_limit":-3.141592653589793,"upper_limit":3.141592653589793,"max_step":0.05},'
+    '{"axis":[0.0,0.0,1.0],"link_offset":[0.2,0.0,0.0],"lower_limit":-3.141592653589793,'
+    '"upper_limit":3.141592653589793,"max_step":0.05}],"tool":[0.15,0.0,0.0]}}'
+)
+
+SIX_DOF_V1_JSON = (
+    '{"env_id":"reach-v1","action_mode":"RelativeJoint","obs_mode":"JointsGoal",'
+    '"reward_type":"DenseSquared","episode_len":100,"goal_box":[[0.1,-0.15,0.05],[0.25,'
+    '0.15,0.25]],"success_thresholds_mm":[5.0,10.0,20.0,50.0],"arm":{"name":"widowx6",'
+    '"joints":[{"axis":[0.0,0.0,1.0],"link_offset":[0.0,0.0,0.125],"lower_limit":-2.6,'
+    '"upper_limit":2.6,"max_step":0.05},{"axis":[0.0,1.0,0.0],"link_offset":[0.0,0.0,'
+    '0.045],"lower_limit":-2.6,"upper_limit":2.6,"max_step":0.05},{"axis":[0.0,1.0,0.0],'
+    '"link_offset":[0.05,0.0,0.14],"lower_limit":-2.6,"upper_limit":2.6,"max_step":0.05},'
+    '{"axis":[0.0,1.0,0.0],"link_offset":[0.14,0.0,0.0],"lower_limit":-2.6,'
+    '"upper_limit":2.6,"max_step":0.05},{"axis":[1.0,0.0,0.0],"link_offset":[0.06,0.0,'
+    '0.0],"lower_limit":-2.6,"upper_limit":2.6,"max_step":0.05},{"axis":[0.0,1.0,0.0],'
+    '"link_offset":[0.045,0.0,0.0],"lower_limit":-2.6,"upper_limit":2.6,'
+    '"max_step":0.05}],"tool":[0.0,0.0,0.0]}}'
+)
+
+
+@pytest.mark.parametrize("env_id, text", [
+    ("reach-planar-v1", PLANAR_V1_JSON), ("reach-v1", SIX_DOF_V1_JSON),
+])
+def test_config_json_is_pinned(env_id, text):
+    config = registry_lookup(env_id)
+    assert config_to_json(config) == text
+    make_env(config, seed=0).step(np.zeros(config.n_joints))  # fills the cached properties
+    assert config_to_json(config) == text

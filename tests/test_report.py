@@ -143,8 +143,8 @@ def test_episode_panels_inventory(tmp_path):
     for title in ("joint angles", "ee vs goal (x)", "ee vs goal (y)", "ee vs goal (z)",
                   "reward", "distance", "velocity", "acceleration"):
         assert title in texts
-    svg_path, csv_path = emit_episode_panels(log, tmp_path)
-    assert svg_path.is_file() and csv_path.is_file()
+    svg_path = emit_episode_panels(log, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [svg_path.name] == ["episode_panels.svg"]
 
 
 def test_episode_panels_stay_still_flat_lines(tmp_path):
