@@ -35,10 +35,16 @@ Then it trains the PPO run again with ``--parallel 1`` and prints its seed
 lines, which must equal those of the first PPO run (default ``--parallel``,
 the usable cores up to 2).
 
-Last, it runs one small TD3 study on reach-planar-v1 (4 trials x 1,500
+Then it runs one small TD3 study on reach-planar-v1 (4 trials x 1,500
 steps, 3 checkpoints, so that the checkpoints at 1,000 and 1,500 score
 actors after updates) at ``--parallel 1`` and at ``--parallel 2``, and
 prints its hashes as for the PPO study; the two pairs must be equal.
+
+Last, it trains the PPO run's seeds once more inside this process, with no
+fork, after importing ``reachrl.td3`` and ``reachrl.hypertune``, and prints
+their seed lines, which must equal the first PPO run's: training bytes
+depend neither on the entry point nor on where earlier allocations put the
+parameter vectors.
 
 It exits 1 if any of those must-equal checks fails, after naming on
 stderr the first line that differs from its counterpart; else 0.
@@ -106,14 +112,34 @@ def print_lines(label: str, lines: list[str]) -> list[str]:
     return lines
 
 
-def print_seed_lines(label: str, exp_dir: Path) -> list[str]:
+def print_seed_lines(label: str, seeds: dict[str, dict[str, bytes]]) -> list[str]:
+    """Print the lines of ``seeds``, each seed directory's name with its
+    files' bytes by name."""
     lines = []
-    for seed_path in sorted(exp_dir.glob("seed_*")):
+    for name, files in seeds.items():
         for artifact in ("training_log.csv", "policy.json"):
-            lines.append(f"{seed_path.name} {artifact} {sha256(seed_path / artifact)}")
-        meta = json.loads((seed_path / "run_meta.json").read_text())
-        lines.append(f"{seed_path.name} run_meta.json seed={meta['seed']} status={meta['status']}")
+            lines.append(f"{name} {artifact} {hashlib.sha256(files[artifact]).hexdigest()}")
+        meta = json.loads(files["run_meta.json"])
+        lines.append(f"{name} run_meta.json seed={meta['seed']} status={meta['status']}")
     return print_lines(label, lines)
+
+
+def seed_files(exp_dir: Path) -> dict[str, dict[str, bytes]]:
+    return {seed_path.name: {path.name: path.read_bytes() for path in seed_path.iterdir()}
+            for seed_path in sorted(exp_dir.glob("seed_*"))}
+
+
+def train_in_process(args: list[str]) -> dict[str, dict[str, bytes]]:
+    """The seed files that ``train`` with ``args`` (a ``RUNS`` entry with no
+    ``--hp``) writes, trained one seed after another in this process."""
+    from reachrl import hypertune, td3  # noqa: F401  (loaded before training, on purpose)
+    from reachrl.experiment import _run_seed
+
+    flags = dict(zip(args[::2], args[1::2]))
+    base_seed, n_seeds = int(flags["--base-seed"]), int(flags["--n-seeds"])
+    return {f"seed_{k}": {name: text.encode() for name, text in _run_seed(
+                flags["--algo"], flags["--env"], base_seed + k, {}, int(flags["--n-timesteps"])).items()}
+            for k in range(n_seeds)}
 
 
 def check_equal(label: str, lines: list[str], other_label: str, others: list[str]) -> bool:
@@ -147,7 +173,7 @@ def main() -> int:
         seed_lines = {}
         for exp_id, (name, args) in enumerate(RUNS, start=1):
             run_cli(name, ["train", *args, "--workspace", workspace])
-            seed_lines[name] = print_seed_lines(name, Path(workspace) / f"exp_{exp_id}")
+            seed_lines[name] = print_seed_lines(name, seed_files(Path(workspace) / f"exp_{exp_id}"))
         for name, exp_id, mode, flags in EVALUATIONS:
             stdout = run_cli(name, ["evaluate", "--exp-id", str(exp_id), "--log-episode", *flags,
                                     "--workspace", workspace])
@@ -168,9 +194,11 @@ def main() -> int:
         equal = [run_studies(workspace, "ppo", PPO_TUNE, first_id=1)]
         name, args = RUNS[0]
         run_cli(name, ["train", *args, "--parallel", "1", "--workspace", workspace])
-        rerun = print_seed_lines(f"{name} parallel=1", Path(workspace) / f"exp_{len(RUNS) + 1}")
+        rerun = print_seed_lines(f"{name} parallel=1", seed_files(Path(workspace) / f"exp_{len(RUNS) + 1}"))
         equal.append(check_equal(name, seed_lines[name], f"{name} parallel=1", rerun))
         equal.append(run_studies(workspace, "td3", TD3_TUNE, first_id=3))
+        in_process = print_seed_lines(f"{name} in-process", train_in_process(args))
+        equal.append(check_equal(name, seed_lines[name], f"{name} in-process", in_process))
     return 0 if all(equal) else 1
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .envs import make_env, run_episodes
 from .errors import CorruptDataError, NumericError, ValidationError
-from .nets import LOG_STD_MAX, LOG_STD_MIN, Mlp, mlp_forward, mlp_from_dict, mlp_to_dict
+from .nets import LOG_STD_MAX, LOG_STD_MIN, Mlp, json_numbers, mlp_forward, mlp_from_dict, mlp_to_dict
 from .schema import checked
 
 NET_SEED_OFFSET = 1000
@@ -190,7 +190,7 @@ def policy_to_json(policy: PolicyArtifact) -> str:
         doc.update(mlp_to_dict(policy.net))
     else:
         doc.update({"layer_shapes": [], "weights": [], "biases": []})
-    doc["log_std"] = [] if policy.log_std is None else policy.log_std.tolist()
+    doc["log_std"] = [] if policy.log_std is None else json_numbers(policy.log_std)
     if policy.kind == "random":
         doc["n_actions"] = policy.n_actions
     return json.dumps(doc) + "\n"
@@ -199,8 +199,8 @@ def policy_to_json(policy: PolicyArtifact) -> str:
 def policy_from_json(text: str | bytes, source: str = "text") -> PolicyArtifact:
     """The policy ``policy_to_json`` wrote, each field as ``schema.checked``
     reads it: a random policy has ``n_actions``, the others a net, and a
-    Gaussian one ``log_std`` per action.  Bytes must be UTF-8.  Anything else
-    raises ValidationError."""
+    Gaussian one ``log_std`` per action, in the net's dtype.  Bytes must be
+    UTF-8.  Anything else raises ValidationError."""
     try:
         # Strict: json.loads would take bytes in UTF-16 or UTF-32 too.
         doc = checked("policy", json.loads(text.decode() if isinstance(text, bytes) else text), dict)
@@ -209,7 +209,7 @@ def policy_from_json(text: str | bytes, source: str = "text") -> PolicyArtifact:
             return PolicyArtifact(kind, n_actions=checked("n_actions", doc.get("n_actions"), int, "[1, inf)"))
         net, log_std = mlp_from_dict(doc), None
         if kind == "gaussian":
-            log_std = checked("log_std", doc["log_std"], np.dtype(float), f"[{LOG_STD_MIN}, {LOG_STD_MAX}]")
+            log_std = checked("log_std", doc["log_std"], net.params.dtype, f"[{LOG_STD_MIN}, {LOG_STD_MAX}]")
             if log_std.shape != (net.out_dim,):
                 raise ValidationError(f"log_std of shape {log_std.shape} for {net.out_dim} actions")
         return PolicyArtifact(kind=kind, net=net, log_std=log_std, n_actions=net.out_dim)

@@ -6,17 +6,19 @@ state-independent, learnable log standard deviation.
 
 Each net computes in its parameter vector's dtype: inputs and output
 gradients are cast to it, and Python-float scalars keep it (NEP 50), so
-Adam and Polyak steps do too.  PPO runs in float64: its 64-row minibatch is
-bound by numpy call overhead, not kernel time, and its learning check
-passes by a thin margin.  TD3 runs in float32, as Stable-Baselines3 does:
-its batch-256 update is kernel-bound, and float32 kernels are about twice
-as fast.  Gradient checks use float64 nets.
+Adam and Polyak steps do too.  Both trainers train in ``DTYPE``, float32,
+as Stable-Baselines3 does: measured in float64, about half of PPO's 64-row
+minibatch was the two nets' forward and backward passes, whose 64x64x64
+products are kernel-bound, as TD3's batch 256 is.  Gradient checks use
+float64 nets.
 
 Each optimiser group is one flat vector that ``pack`` makes its nets' (and
 a Gaussian head's) arrays views into; gradients, Adam moments and target
-nets share its layout, so optimiser steps are whole-vector operations.  A
-trainer updates its group vectors in place, forward passes never mutate
-parameters or their input, and ``Mlp.copy`` gives an artifact its own net.
+nets share its layout, so optimiser steps are whole-vector operations.  They
+start on a 64-byte boundary, so their kernels' speed does not depend on what
+a process allocated before.  A trainer updates its group vectors in place,
+forward passes never mutate parameters or their input, and ``Mlp.copy``
+gives an artifact its own net.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .schema import checked
 
+DTYPE = np.float32  # the dtype both trainers train in
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 ADAM_BETA1 = 0.9  # Adam's decay rates and denominator term, as Kingma and Ba give them
@@ -76,14 +79,23 @@ class Mlp:
         return weights, [vector[start:end] for start, end, _ in self._layout[n:]]
 
     def copy(self) -> Mlp:
-        """The same net over its own copy of the parameters."""
-        return Mlp(self.layer_shapes, self.params.copy())
+        """The same net over its own aligned copy of the parameters."""
+        return Mlp(self.layer_shapes, aligned(self.params))
 
 
-def pack(members: list) -> np.ndarray:
-    """A new vector holding the members' parameters in order; each member (an
-    ``Mlp`` or a ``GaussianHead``) is rebound to its slice of it."""
-    vector = np.concatenate([m.params for m in members])
+def aligned(a: np.ndarray, dtype=None) -> np.ndarray:
+    """A copy of the vector ``a``, in ``dtype`` if given, that starts on a 64-byte boundary."""
+    nbytes = a.size * np.dtype(dtype or a.dtype).itemsize
+    raw = np.empty(nbytes + 64, np.uint8)
+    out = raw[-raw.ctypes.data % 64 :][:nbytes].view(dtype or a.dtype)
+    out[...] = a
+    return out
+
+
+def pack(members: list, dtype=None) -> np.ndarray:
+    """A new aligned vector holding the members' parameters in order, in ``dtype`` if
+    given; each member (an ``Mlp`` or a ``GaussianHead``) is rebound to its slice of it."""
+    vector = aligned(np.concatenate([m.params for m in members]), dtype)
     start = 0
     for m in members:
         m.bind(vector[start : start + m.params.size])
@@ -191,20 +203,24 @@ def mlp_backward(
 
 @dataclass
 class AdamState:
-    """Adam moments for one parameter vector, its step count and learning rate."""
+    """Adam moments for one parameter vector, its step count and learning rate,
+    and two vectors of its size for the step's temporaries."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int
     lr: float
+    scratch: tuple[np.ndarray, np.ndarray]
 
 
 def adam_init(params: np.ndarray, lr: float) -> AdamState:
-    return AdamState(np.zeros_like(params), np.zeros_like(params), 0, lr)
+    m, v, a, b = (aligned(np.zeros_like(params)) for _ in range(4))
+    return AdamState(m, v, 0, lr, (a, b))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
-    """One Adam update with bias correction; params are updated in place."""
+    """One Adam update with bias correction; params are updated in place, by
+    the textbook's operations in its order, with temporaries in ``scratch``."""
     if params.shape != grads.shape:
         raise ValidationError(f"params shape {params.shape} but grads shape {grads.shape}")
     if not np.isfinite(grads).all():
@@ -213,21 +229,24 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    m, v = state.first_moment, state.second_moment
+    m, v, (step, denom) = state.first_moment, state.second_moment, state.scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
+    m += np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grads * grads
-    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=step)
+    v += np.multiply(step, grads, out=step)
+    np.divide(m, bc1, out=step)
+    step *= state.lr
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    params -= np.divide(step, denom, out=step)
 
 
-def clip_grad_norm(grads: np.ndarray, max_norm: float, sizes: list[int]) -> float:
+def clip_grad_norm(grads: np.ndarray, max_norm: float) -> float:
     """Scale grads in place so the global L2 norm is at most max_norm; returns
-    the pre-clip norm.  Squares are summed within each consecutive segment of
-    ``sizes``, then across segments: the rounding of an array-by-array norm."""
-    squares = grads * grads
-    ends = list(accumulate(sizes))
-    total = math.sqrt(sum(float(np.add.reduce(squares[e - n : e])) for e, n in zip(ends, sizes)))
+    the pre-clip norm, from one sum of the squares over the whole vector."""
+    total = math.sqrt(float((grads * grads).sum()))
     if total > max_norm:
         grads *= max_norm / total
     return total
@@ -247,20 +266,17 @@ class GaussianHead:
         self.log_std = params
 
     def clamp(self) -> None:
-        np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
+        self.log_std.clip(LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
 
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray) -> np.ndarray:
-    """Diagonal-Gaussian log density, summed over action dimensions.
+    """Diagonal-Gaussian log density, summed over action dimensions, in the
+    dtype the three arrays promote to.
 
     Accepts vectors (returns a scalar) or batches (returns a vector).
     """
-    mean = np.asarray(mean, dtype=float)
-    action = np.asarray(action, dtype=float)
-    log_std = np.asarray(log_std, dtype=float)
     z = (action - mean) * np.exp(-log_std)
-    per_dim = -0.5 * z**2 - log_std - _HALF_LOG_2PI
-    summed = per_dim.sum(axis=-1)
+    summed = (-0.5 * z**2 - log_std - _HALF_LOG_2PI).sum(axis=-1)
     return float(summed) if summed.ndim == 0 else summed
 
 
@@ -271,12 +287,12 @@ def gaussian_sample(mean: np.ndarray, log_std: np.ndarray, rng: np.random.Genera
 
 
 def gaussian_entropy(log_std: np.ndarray) -> float:
-    """Entropy of the diagonal Gaussian: sum(log_std + 0.5 ln(2 pi e))."""
-    log_std = np.asarray(log_std, dtype=float)
-    return float(np.sum(log_std + 0.5 * math.log(2.0 * math.pi * math.e)))
+    """Entropy of the diagonal Gaussian: sum(log_std + 0.5 ln(2 pi e)), in
+    ``log_std``'s dtype."""
+    return float((log_std + 0.5 * math.log(2.0 * math.pi * math.e)).sum())
 
 
-def _json_numbers(a: np.ndarray) -> list[float]:
+def json_numbers(a: np.ndarray) -> list[float]:
     """``a``'s values as JSON numbers: a float32 as its shortest repr, which
     reads back to the same bits, not the 17 digits of its float64 value."""
     a = a.reshape(-1)
@@ -287,8 +303,8 @@ def mlp_to_dict(net: Mlp) -> dict:
     """The net as JSON values; ``dtype`` is written only when not float64."""
     doc = {
         "layer_shapes": [list(s) for s in net.layer_shapes],
-        "weights": [_json_numbers(w) for w in net.weights],
-        "biases": [_json_numbers(b) for b in net.biases],
+        "weights": [json_numbers(w) for w in net.weights],
+        "biases": [json_numbers(b) for b in net.biases],
     }
     if net.params.dtype != np.float64:
         doc["dtype"] = net.params.dtype.name

@@ -14,17 +14,23 @@ probabilities wait for the rollout's end, when one row-exact
 ``mlp_forward_rows`` pass and one ``gaussian_log_prob`` call give every
 row the bits a per-step call would; nothing changes the nets or
 ``log_std`` during a rollout, so training is unchanged bit for bit.
+
+PPO trains in ``nets.DTYPE`` (float32), as TD3 does; the weights and the
+noise are drawn in float64 as before, the env gets float64 actions and GAE
+runs in float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .agents import HIDDEN_SIZES, NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact, PpoConfig
 from .errors import NumericError, ValidationError
 from .nets import (
+    DTYPE,
     GaussianHead,
     Mlp,
     adam_init,
@@ -87,8 +93,7 @@ class RolloutBatch:
     next_value: float
 
 
-@dataclass
-class PpoUpdateReport:
+class PpoUpdateReport(NamedTuple):
     policy_loss: float
     value_loss: float
     entropy: float
@@ -105,41 +110,44 @@ def ppo_loss_and_grads(
     advantages: np.ndarray,
     returns: np.ndarray,
     config: PpoConfig,
+    grads: np.ndarray | None = None,
 ) -> tuple[PpoUpdateReport, np.ndarray]:
     """Losses and exact gradients for one minibatch (advantages pre-normalised).
 
-    The gradient vector is laid out like the group: policy, log_std, value net.
+    The gradient vector is laid out like the group: policy, log_std, value
+    net.  It is written in full into ``grads`` if given, else a new vector.
     """
     n = len(observations)
-    eps = config.clip_range
+    p, a = policy.params.size, head.log_std.size
+    if grads is None:
+        grads = np.empty(p + a + value_net.params.size, policy.params.dtype)
 
     mean, policy_cache = mlp_forward_cached(policy, observations)
-    std = np.exp(head.log_std)
-    log_probs = gaussian_log_prob(mean, head.log_std, actions)
-    ratio = np.exp(log_probs - old_log_probs)
-    clipped_ratio = np.clip(ratio, 1.0 - eps, 1.0 + eps)
+    ratio = np.exp(gaussian_log_prob(mean, head.log_std, actions) - old_log_probs)
+    clipped_ratio = ratio.clip(1.0 - config.clip_range, 1.0 + config.clip_range)
+    clip_fraction = np.count_nonzero(clipped_ratio != ratio) / n
     unclipped_obj = ratio * advantages
     clipped_obj = clipped_ratio * advantages
-    policy_loss = -float(np.mean(np.minimum(unclipped_obj, clipped_obj)))
-    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > eps))
-    entropy = gaussian_entropy(head.log_std)
-
     # Gradient flows only through samples where the unclipped branch is active.
     active = unclipped_obj <= clipped_obj
-    d_log_prob = np.where(active, -ratio * advantages, 0.0) / n
-    z = (actions - mean) / std
-    mean_grad = d_log_prob[:, None] * (z / std)
-    p, a = policy.params.size, head.log_std.size
-    grads = np.empty(p + a + value_net.params.size)
-    np.add.reduce(d_log_prob[:, None] * (z**2 - 1.0), axis=0, out=grads[p : p + a])
+    policy_loss = -float(np.minimum(unclipped_obj, clipped_obj).sum()) / n
+    entropy = gaussian_entropy(head.log_std)
+
+    # d(loss)/d(log_prob) is -ratio * A / n where active; the mean's gradient
+    # is that times z / std, and log_std's sums it times (z**2 - 1).
+    d_log_prob = np.where(active, unclipped_obj, 0.0) * (-1.0 / n)
+    inv_std = np.exp(-head.log_std)
+    z = (actions - mean) * inv_std
+    mean_grad = d_log_prob[:, None] * (z * inv_std)
+    np.matmul(d_log_prob, z * z - 1.0, out=grads[p : p + a])
     grads[p : p + a] -= config.ent_coef  # d(-ent_coef * entropy)/d log_std = -ent_coef
     mlp_backward_cached(policy, policy_cache, mean_grad, grads[:p], input_grad=False)
 
     v, value_cache = mlp_forward_cached(value_net, observations)
-    v = v[:, 0]
-    value_loss = float(np.mean((v - returns) ** 2))
-    v_grad = (config.vf_coef * 2.0 * (v - returns) / n)[:, None]
-    mlp_backward_cached(value_net, value_cache, v_grad, grads[p + a :], input_grad=False)
+    err = v[:, 0] - returns
+    value_loss = float((err * err).sum()) / n
+    err *= config.vf_coef * 2.0 / n
+    mlp_backward_cached(value_net, value_cache, err[:, None], grads[p + a :], input_grad=False)
 
     total = policy_loss + config.vf_coef * value_loss - config.ent_coef * entropy
     if not np.isfinite(total):
@@ -159,36 +167,31 @@ def ppo_update(
     rng: np.random.Generator,
 ) -> PpoUpdateReport:
     """Run n_epochs of shuffled minibatch updates on one rollout batch;
-    ``params`` is the group vector the three parts are views into."""
+    ``params`` is the group vector the three parts are views into.  The
+    batch is cast to its dtype once and gathered once per epoch, and every
+    minibatch writes its gradient into one buffer."""
     advantages, returns = compute_gae(
         batch.rewards, batch.values, batch.next_value, batch.dones,
         config.gamma, config.gae_lambda,
     )
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-    parts = (*policy.weights, *policy.biases, head.log_std, *value_net.weights, *value_net.biases)
-    sizes = [p.size for p in parts]  # clip_grad_norm sums squares array by array
-    n = len(batch.rewards)
+    columns = [np.asarray(c, params.dtype) for c in
+               (batch.observations, batch.actions, batch.log_probs, advantages, returns)]
+    grads = np.empty_like(params)
+    n, size = len(advantages), config.minibatch_size
     reports = []
     for _ in range(config.n_epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, config.minibatch_size):
-            idx = perm[start : start + config.minibatch_size]
-            report, grads = ppo_loss_and_grads(
-                policy, head, value_net,
-                batch.observations[idx], batch.actions[idx],
-                batch.log_probs[idx], advantages[idx], returns[idx],
-                config,
+        shuffled = [c[perm] for c in columns]
+        for start in range(0, n, size):
+            report, _ = ppo_loss_and_grads(
+                policy, head, value_net, *(c[start : start + size] for c in shuffled), config, grads,
             )
-            clip_grad_norm(grads, config.max_grad_norm, sizes)
+            clip_grad_norm(grads, config.max_grad_norm)
             adam_step(params, grads, adam)
             head.clamp()
             reports.append(report)
-    return PpoUpdateReport(
-        policy_loss=float(np.mean([r.policy_loss for r in reports])),
-        value_loss=float(np.mean([r.value_loss for r in reports])),
-        entropy=float(np.mean([r.entropy for r in reports])),
-        clip_fraction=float(np.mean([r.clip_fraction for r in reports])),
-    )
+    return PpoUpdateReport(*(float(np.mean(column)) for column in zip(*reports)))
 
 
 class PpoTrainer:
@@ -202,9 +205,9 @@ class PpoTrainer:
         net_rng = np.random.default_rng(seed + NET_SEED_OFFSET)
         self.policy = mlp_init([obs_dim, *HIDDEN_SIZES, act_dim], net_rng)
         self.value_net = mlp_init([obs_dim, *HIDDEN_SIZES, 1], net_rng)
-        self.head = GaussianHead(np.zeros(act_dim))
+        self.head = GaussianHead(np.zeros(act_dim, DTYPE))
         self.sampler = np.random.default_rng(seed + NOISE_SEED_OFFSET)
-        self.params = pack([self.policy, self.head, self.value_net])
+        self.params = pack([self.policy, self.head, self.value_net], DTYPE)
         self.adam = adam_init(self.params, config.lr)
         self._steps = []  # (obs, action, mean, reward, done) of each step of this rollout
         self._finals = []  # each horizon's final observation, then the rollout's last
@@ -254,7 +257,7 @@ class PpoTrainer:
         n = len(observations)
         rows = np.array(observations + tuple(self._finals))
         self._steps, self._finals = [], []
-        values = mlp_forward_rows(self.value_net, rows)[:, 0]
+        values = mlp_forward_rows(self.value_net, rows)[:, 0].astype(float)
         rewards, dones = np.array(rewards), np.array(dones)
         rewards[dones] += self.config.gamma * values[n:-1]
         actions = np.array(actions)

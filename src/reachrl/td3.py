@@ -7,8 +7,8 @@ steps, and the trainer stores and learns from each before its checkpoints.
 Episodes end only by time limit, so every target bootstraps, r + gamma *
 min(Q1', Q2'), and the buffer keeps no done flag (Pardo et al., ICML 2018).
 
-TD3 computes in float32, as Stable-Baselines3 does: its nets, Adam moments,
-replay buffer and batches are ``DTYPE``, which makes its batch-256 update
+TD3 trains in ``nets.DTYPE``, float32, as PPO does: its nets, Adam moments,
+replay buffer and batches are float32, which makes its batch-256 update
 about 1.7x faster than in float64.  The weights are drawn in float64 and
 rounded, and the noise is drawn in float64 from the same streams, so the
 RNG draws are those of a float64 run; the env gets float64 actions.
@@ -23,6 +23,7 @@ import numpy as np
 from .agents import HIDDEN_SIZES, NET_SEED_OFFSET, NOISE_SEED_OFFSET, PolicyArtifact, Td3Config
 from .errors import NumericError, ValidationError
 from .nets import (
+    DTYPE,
     Mlp,
     adam_init,
     adam_step,
@@ -32,8 +33,6 @@ from .nets import (
     mlp_init,
     pack,
 )
-
-DTYPE = np.float32
 
 
 class ReplayBuffer:
@@ -85,14 +84,13 @@ class Td3Nets:
 def make_td3_nets(obs_dim: int, act_dim: int, rng: np.random.Generator) -> Td3Nets:
     """Nets drawn in float64, in the order actor, critic1, critic2, then
     rounded to ``DTYPE``."""
-    actor, critic1, critic2 = nets = [
+    actor, critic1, critic2 = [
         mlp_init([obs_dim, *HIDDEN_SIZES, act_dim], rng),
         mlp_init([obs_dim + act_dim, *HIDDEN_SIZES, 1], rng),
         mlp_init([obs_dim + act_dim, *HIDDEN_SIZES, 1], rng),
     ]
-    for net in nets:
-        net.bind(net.params.astype(DTYPE))
-    critics = pack([critic1, critic2])
+    pack([actor], DTYPE)
+    critics = pack([critic1, critic2], DTYPE)
     targets = [critic1.copy(), critic2.copy()]
     return Td3Nets(actor, critic1, critic2, critics, actor.copy(), *targets, pack(targets))
 

@@ -169,10 +169,16 @@ def test_ppo_ratio_one_on_first_minibatch():
     env = make_env("reach-planar-v1", seed=1)
     trainer = PpoTrainer(env, PpoConfig(n_timesteps=64, rollout_len=64, minibatch_size=64), seed=1)
     batch = observed_batch(trainer, 64)
-    mean = mlp_forward(trainer.policy, batch.observations)
-    lp_new = gaussian_log_prob(mean, trainer.head.log_std, batch.actions)
-    ratio = np.exp(lp_new - batch.log_probs)
-    assert np.max(np.abs(ratio - 1.0)) < 1e-12
+    # As ppo_update does: the batch in float32, the mean from a batched forward.
+    f32 = np.float32
+    mean = mlp_forward(trainer.policy, batch.observations.astype(f32))
+    lp_new = gaussian_log_prob(mean, trainer.head.log_std, batch.actions.astype(f32))
+    ratio = np.exp(lp_new - batch.log_probs.astype(f32))
+    assert ratio.dtype == f32
+    # The two log-probabilities differ by float32 roundings at their own
+    # scale: allow four ulps' worth of the largest one.
+    bound = 4 * np.finfo(f32).eps * max(1.0, float(np.abs(batch.log_probs).max()))
+    assert np.max(np.abs(ratio - 1.0)) <= bound
 
 
 def test_ppo_identity_policy_zero_loss_after_normalisation():
@@ -254,13 +260,70 @@ def test_ppo_gradient_norm_clipped():
 
     adv, rets = gae(batch.rewards, batch.values, batch.next_value, batch.dones, 0.99, 0.95)
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    _, grads = ppo_loss_and_grads(
-        trainer.policy, trainer.head, trainer.value_net,
-        batch.observations, batch.actions, batch.log_probs, adv, rets, config,
-    )
-    clip_grad_norm(grads, config.max_grad_norm, [grads.size])
-    norm = math.sqrt(float(np.sum(grads * grads)))
-    assert norm <= config.max_grad_norm + 1e-12
+    columns = [np.asarray(c, np.float32) for c in
+               (batch.observations, batch.actions, batch.log_probs, adv, rets)]
+    _, grads = ppo_loss_and_grads(trainer.policy, trainer.head, trainer.value_net, *columns, config)
+    assert grads.dtype == np.float32
+    clip_grad_norm(grads, config.max_grad_norm)
+    norm = math.sqrt(math.fsum(float(g) ** 2 for g in grads))
+    # The clip divides by a float32 sum of squares, within log2(n) ulps of the
+    # exact one, and rounds each scaled entry once.
+    assert norm <= config.max_grad_norm * (1 + np.finfo(np.float32).eps * math.log2(grads.size))
+
+
+def test_ppo_gradients_overwrite_the_whole_buffer():
+    env = make_env("reach-planar-v1", seed=5)
+    config = PpoConfig(n_timesteps=64, rollout_len=64, minibatch_size=64, ent_coef=0.01)
+    trainer = PpoTrainer(env, config, seed=5)
+    batch = observed_batch(trainer, 64)
+    rng = np.random.default_rng(5)
+    columns = [np.asarray(c, np.float32) for c in (batch.observations, batch.actions,
+               batch.log_probs - 0.1, rng.normal(size=64), rng.normal(size=64))]
+    nets = trainer.policy, trainer.head, trainer.value_net
+    _, fresh = ppo_loss_and_grads(*nets, *columns, config)
+    buffer = np.full_like(trainer.params, np.nan)
+    _, reused = ppo_loss_and_grads(*nets, *columns, config, buffer)
+    assert reused is buffer and np.array_equal(reused, fresh)
+
+
+def test_ppo_trains_in_float32(monkeypatch):
+    # Guards against a silent upcast, as TD3's check does: it keeps
+    # determinism and loses the speed.
+    real_update, real_adam, real_layers = ppo.ppo_update, ppo.adam_step, nets_module._layers
+    calls, grads, arrays = [], [], []
+    monkeypatch.setattr(ppo, "ppo_update", lambda *args: calls.append(args) or real_update(*args))
+    config = PpoConfig(n_timesteps=128, rollout_len=64, minibatch_size=32, n_epochs=2)
+    train("ppo", "reach-planar-v1", seed=0, config=config)
+    policy, head, value_net, params, batch, config, adam, rng = calls[-1]
+
+    def layers(net, h, cache):
+        out = real_layers(net, h, cache)
+        arrays.extend(cache)
+        return out
+
+    monkeypatch.setattr(ppo, "adam_step", lambda p, g, s: grads.append(g) or real_adam(p, g, s))
+    monkeypatch.setattr(nets_module, "_layers", layers)
+    real_update(*calls[-1])
+    assert len(grads) == 4 and all(g is grads[0] for g in grads)  # one buffer per update
+    assert len(arrays) == 4 * 2 * 4  # minibatches x nets x (input and three layers)
+    moments = [adam.first_moment, adam.second_moment, *adam.scratch]
+    vectors = [params, head.log_std, *moments, grads[0], *arrays]
+    assert {a.dtype for a in vectors} == {np.dtype(np.float32)}
+
+
+def test_trainer_vectors_start_on_64_byte_boundaries():
+    # Where a vector starts moves the speed of its kernels, and without
+    # alignment it moved with whatever a process allocated before.
+    ppo_trainer = PpoTrainer(make_env("reach-planar-v1", seed=0), PpoConfig(), 0)
+    td3_trainer = Td3Trainer(make_env("reach-planar-v1", seed=0), Td3Config(), 0)
+    nets = td3_trainer.nets
+    groups = [ppo_trainer.params, nets.actor.params, nets.critics,
+              nets.actor_target.params, nets.critics_target]
+    moments = [m for adam in (ppo_trainer.adam, td3_trainer.actor_adam, td3_trainer.critic_adam)
+               for m in (adam.first_moment, adam.second_moment)]
+    artifacts = [t.artifact().net.params for t in (ppo_trainer, td3_trainer)]
+    vectors = groups + moments + artifacts
+    assert [v.ctypes.data % 64 for v in vectors] == [0] * len(vectors)
 
 
 def test_ppo_config_invariants():
@@ -513,13 +576,21 @@ def test_policy_artifact_round_trip_and_act():
     config = PpoConfig(n_timesteps=128, rollout_len=64, minibatch_size=32, n_epochs=1)
     artifact, _ = train("ppo", "reach-planar-v1", seed=1, config=config)
     text = policy_to_json(artifact)
-    assert "dtype" not in json.loads(text)  # float64 files keep their bytes
+    doc = json.loads(text)
+    assert doc["dtype"] == "float32"
     restored = policy_from_json(text)
     assert policy_to_json(restored) == text
-    obs = np.zeros(5)
-    np.testing.assert_array_equal(
-        artifact.act_with_noise(obs, None), restored.act_with_noise(obs, None)
-    )
+    for a, b in ((artifact.net.params, restored.net.params), (artifact.log_std, restored.log_std)):
+        assert b.dtype == np.float32 and b.tobytes() == a.tobytes()
+    # With noise, the action scales it by exp(log_std) in log_std's dtype.
+    rng = np.random.default_rng(0)
+    obs, noise = rng.normal(size=(7, 5)), rng.standard_normal((7, 2))
+    for x, eps in ((obs, noise), (obs[0], noise[0])):
+        for n in (None, eps):
+            assert np.array_equal(artifact.act_with_noise(x, n), restored.act_with_noise(x, n))
+    del doc["dtype"]  # a file without the key is float64, log_std too
+    old = policy_from_json(json.dumps(doc))
+    assert old.net.params.dtype == old.log_std.dtype == np.float64
 
 
 def test_float32_actor_round_trips_through_policy_json():

@@ -224,7 +224,7 @@ def test_adam_rejects_non_finite_grads():
 
 def test_clip_grad_norm():
     grads = np.array([3.0, 4.0, 0.0])
-    pre = clip_grad_norm(grads, 1.0, [2, 1])
+    pre = clip_grad_norm(grads, 1.0)
     assert pre == pytest.approx(5.0)
     post = math.sqrt(float(np.sum(grads * grads)))
     assert post <= 1.0 + 1e-12
@@ -467,20 +467,21 @@ def test_adam_on_a_group_vector_is_bitwise_the_per_array_step():
 
 
 @pytest.mark.parametrize("max_norm", [1e-3, 1e9])
-def test_clip_grad_norm_is_bitwise_the_per_array_norm(max_norm):
-    # Summing all squares at once rounds differently from summing array by
-    # array, and the difference survives the square root in about one draw
-    # in five, so one draw is not enough to tell the two apart.
+def test_clip_grad_norm_is_one_sum_of_squares(max_norm):
+    # The norm is one sum of the squares over the whole vector, in its dtype,
+    # so it agrees with an exact sum to that dtype's rounding, and a clip
+    # scales every entry by the one factor max_norm / norm.
     rng = np.random.default_rng(26)
-    shapes = [(7, 64), (64, 64), (64, 2), (64,), (64,), (2,), (2,),
-              (7, 64), (64, 64), (64, 1), (64,), (64,), (1,)]
-    for _ in range(30):
-        arrays = [rng.normal(size=s) * 10.0 ** rng.uniform(-3, 3) for s in shapes]
-        vector = flat(arrays)
-        total = math.sqrt(sum(float(np.sum(g * g)) for g in arrays))
-        if total > max_norm:
-            scale = max_norm / total
-            for g in arrays:
-                g *= scale
-        assert clip_grad_norm(vector, max_norm, [a.size for a in arrays]) == total
-        assert np.array_equal(vector, flat(arrays))
+    sizes = [7 * 64, 64 * 64, 64 * 2, 64, 64, 2, 2, 7 * 64, 64 * 64, 64, 64, 64, 1]
+    for dtype in (np.float32, np.float64):
+        eps = np.finfo(dtype).eps
+        for _ in range(30):
+            scales = np.repeat(10.0 ** rng.uniform(-3, 3, size=len(sizes)), sizes)
+            vector = (rng.normal(size=sum(sizes)) * scales).astype(dtype)
+            before = vector.copy()
+            total = clip_grad_norm(vector, max_norm)
+            assert total == math.sqrt(float((before * before).sum()))
+            exact = math.sqrt(math.fsum(float(g) ** 2 for g in before))
+            assert abs(total - exact) <= eps * math.log2(before.size) * exact
+            expected = before * (max_norm / total) if total > max_norm else before
+            assert vector.dtype == dtype and np.array_equal(vector, expected)
